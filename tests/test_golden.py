@@ -1,0 +1,40 @@
+"""Byte-for-byte locks on canonical JSON reports.
+
+Each file under data/golden is the `--format json` report of the command
+listed for it below, at the default seed.  The test reruns the command
+and compares bytes, so any change to a coefficient, a check name or the
+order of a basis shows up here.  Rewrite a golden file only together with
+a change that says why its report changes.
+"""
+
+import os
+
+import pytest
+
+from contactk import cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+CASES = {
+    "singular_heis2_pi1_c1_nilpotent2": [
+        "singular", "--algebra", "heisenberg:2", "--u", "pi:1", "--c", "1",
+        "--pi", "nilpotent2",
+    ],
+    "singular_heis2_pi2_c2": [
+        "singular", "--algebra", "heisenberg:2", "--u", "pi:2", "--c", "2",
+    ],
+    "classify_heis1_nilpotent2": [
+        "classify", "--algebra", "heisenberg:1", "--pi", "nilpotent2",
+    ],
+    "rumin_heis1": ["rumin", "--algebra", "heisenberg:1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(CASES[name] + ["--format", "json", "--out", str(out)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+        want = fh.read()
+    assert out.read_bytes() == want
