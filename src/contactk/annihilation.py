@@ -277,7 +277,9 @@ def _elem(dim, i, j):
 
 def w0_quotient_iso_check(env, truncation=4):
     """The induced bracket on W_0/W_1 matches gl(d), and its adjoint
-    action on W/W_0 matches the defining action on d."""
+    action on W/W_0 matches the defining action on d.  Returns (ok,
+    witness): the witness names the first failing (a, m, b, n) or
+    (a, m, k) with both sides, and is None when every case holds."""
     data = env.data
     dim = data.dim
     for a in range(dim):
@@ -293,7 +295,8 @@ def w0_quotient_iso_check(env, truncation=4):
                         linalg.mat_scale(_elem(dim, b, n), -ONE),
                     )
                     if got != want:
-                        return False
+                        return False, {"a": a, "m": m, "b": b, "n": n,
+                                       "lhs": got, "rhs": want}
             # adjoint action on W/W_0: [x^m (x) e_a, 1 (x) e_k] mod W_0
             for k in range(dim):
                 v = w_monomial(dim, env_mod.unit_index(dim), k, truncation)
@@ -308,8 +311,9 @@ def w0_quotient_iso_check(env, truncation=4):
                 )
                 want = {j: c for j, c in enumerate(want_vec) if c}
                 if const != want:
-                    return False
-    return True
+                    return False, {"a": a, "m": m, "k": k,
+                                   "lhs": const, "rhs": want}
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +385,7 @@ def fourier_images_check(env, truncation=4):
     compare("vertical", embed_k(env, dual_mono(eps[0])), want, "mod")
 
     # (iv): x^i x^j -> 2 f^{ij} mod W_1 (through the gl identification)
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     for i in range(1, dim):
         for j in range(i, dim):
             I = env_mod.add_index(eps[i], eps[j])
@@ -417,7 +421,7 @@ def iprime_expansion_check(env, truncation=4):
     """-I' = 2 x^0 (x)_H e + 2 sum_{0<i<j} omega_ij f^{ij} mod W_1."""
     data = env.data
     dim = data.dim
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     x0 = env_mod.dual_covector(dim, 0, truncation)
     got = w0_class_to_gl(data, embed_k(env, x0).scale(2))
     acc = linalg.zeros(dim)
@@ -440,7 +444,7 @@ def csp_quotient_check(env, truncation=5):
     abelian column algebra."""
     data = env.data
     dim = data.dim
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     eps = [tuple(env_mod.eps(dim, i)) for i in range(dim)]
 
     labels = []

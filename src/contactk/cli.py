@@ -292,7 +292,7 @@ def suite_exterior(suite, data, check_cohomology):
         "the homotopy formula for the adjoint action holds everywhere",
         *pr.result(),
     )
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     pr = Probe()
     pr.eq(exterior.gl_act(data, gens.i_prime, th).as_dict(),
           (Fraction(-2) * th).as_dict(), acting="grading on theta")
@@ -614,7 +614,7 @@ def suite_enveloping(suite, data, rng):
 
 def suite_sp(suite, data, rng):
     dim = data.dim
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     sys_ = linalg.LinearSystem()
     for (i, j), f in gens.f_raised.items():
         sys_.add_column(
@@ -696,7 +696,7 @@ def suite_sp(suite, data, rng):
         *pr.result(),
     )
     ds = contact_lie.with_symplectic_basis(data)
-    gs = sp_rep.build_sp(ds)
+    gs = sp_rep.sp_gens_for(ds)
     pr = Probe()
     for i in range(1, ds.N + 1):
         pr.eq(
@@ -1047,7 +1047,7 @@ def suite_annihilation(suite, data, rng, truncation):
         "annihilation.gl_quotient",
         "the degree-zero quotient bracket table is the general linear "
         "algebra and acts standardly one step below",
-        annihilation.w0_quotient_iso_check(env, truncation),
+        *annihilation.w0_quotient_iso_check(env, truncation),
     )
     suite.record(
         "annihilation.csp_quotient",
@@ -1112,7 +1112,7 @@ def suite_annihilation(suite, data, rng, truncation):
 
 
 def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     names = ["trivial"] + [f"pi:{n}" for n in range(1, data.N + 1)] + ["sym2"]
     suite.record(
         "classify.tau",
@@ -1132,7 +1132,8 @@ def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
         rep, (kind, p) = builtin_u(data, gens, name)
         for c in range(c_min, c_max + 1):
             spec = palg.TensorModuleSpec(data, twist, rep, Fraction(c), "V")
-            verdict = palg.classify(spec, audit_cutoff)
+            basis, used = palg.singular_space(spec, audit_cutoff)
+            verdict = palg.verdict_of(spec, basis, used)
             want_red, want_deg = palg.expected_verdict(kind, p, c, data.N)
             ok = verdict.reducible == want_red and (
                 not want_red or verdict.degrees == want_deg
@@ -1171,7 +1172,9 @@ def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
                     {"nonconstant": verdict.singular_dim - spec.dim_r,
                      "predicted": want_dim},
                 )
-                basis, _cut = palg.singular_space(spec)
+                # the coefficient checks read the default-cutoff basis
+                if used != palg.default_cutoff(spec):
+                    basis, _cut = palg.singular_space(spec)
                 pr = Probe()
                 for t, v in enumerate(basis):
                     pr.check(palg.coefficient_lemma_check(spec, v),
@@ -1198,7 +1201,7 @@ def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
 
 
 def run_singular(suite, data, twist, u_name, c):
-    gens = sp_rep.build_sp(data)
+    gens = sp_rep.sp_gens_for(data)
     rep, (_kind, _p) = builtin_u(data, gens, u_name)
     spec = palg.TensorModuleSpec(data, twist, rep, c, "V")
     basis, cutoff = palg.singular_space(spec)
@@ -1344,6 +1347,12 @@ def run_command(args):
         run_classify(suite, data, rng, args.c_min, c_max, twist,
                      args.audit_cutoff)
     elif args.command == "annihilation":
+        if args.truncation < 4:
+            raise BadConfig(
+                "annihilation needs --truncation >= 4: below that the "
+                "bracket drops the degree-one terms the W_0/W_1 quotient "
+                "table is read from"
+            )
         suite_annihilation(suite, data, rng, args.truncation)
     else:  # pragma: no cover
         raise BadConfig(f"unknown command {args.command}")

@@ -28,15 +28,28 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-_sp_cache = {}
+@dataclass(frozen=True)
+class CarrierColumns:
+    """The carrier matrices of the generator formula, column by column.
+
+    Column r of a matrix is a tuple of (row, coefficient) pairs in row
+    order, without zeros; rows and columns use the index r = p*dim_u + u
+    of the carrier basis.  `first` holds rho_d(e_0) + rho_sp(ad_sp 0),
+    `dual[k]` holds rho_d(d^k) + rho_sp(ad_sp k) for k >= 1 (`dual[0]` is
+    unused), and `f[(i, j)]` holds rho_f(i, j) where it is nonzero; since
+    f^{ij} = f^{ji}, (i, j) and (j, i) share one set of columns."""
+
+    first: tuple
+    dual: tuple
+    f: dict
 
 
-def sp_gens_for(data):
-    hit = _sp_cache.get(id(data))
-    if hit is None or hit[0] is not data:
-        hit = (data, sp_rep.build_sp(data))
-        _sp_cache[id(data)] = hit
-    return hit[1]
+def _columns(mat):
+    n = len(mat)
+    return tuple(
+        tuple((i, mat[i][r]) for i in range(n) if mat[i][r])
+        for r in range(len(mat[0]))
+    )
 
 
 class TensorModuleSpec:
@@ -45,6 +58,11 @@ class TensorModuleSpec:
     convention "T" uses the plain carrier action; "V" uses the
     trace-shifted action formula.  The two are intertwined by
     V(Pi, U, c) = T(Pi (x) k_{tr ad}, U, c - 2N - 2).
+
+    The carrier R = Pi (x) U has the basis r = p*dim_u + u.  Its action
+    enters the generator formula through the matrices of `CarrierColumns`,
+    built once per spec on first use and held only as sparse columns;
+    `rho_d`, `rho_sp` and `rho_f` are the dense builders behind them.
     """
 
     def __init__(self, data, twist, sprep, c, convention="V"):
@@ -56,12 +74,12 @@ class TensorModuleSpec:
         self.c = Fraction(c)
         self.convention = convention
         self.env = get_env(data)
-        self.sp_gens = sp_gens_for(data)
+        self.sp_gens = sp_rep.sp_gens_for(data)
         self.dim_pi = twist.dim_carrier
         self.dim_u = sprep.dim
         self.dim_r = self.dim_pi * self.dim_u
         self._gen_cache = {}
-        self._adsp = {}
+        self._carrier = None
 
     def describe(self):
         return {
@@ -92,12 +110,29 @@ class TensorModuleSpec:
     def rho_f(self, i, j):
         return linalg.kron(linalg.identity(self.dim_pi), self.sprep.f(i, j))
 
-    def adsp_matrix(self, k):
-        hit = self._adsp.get(k)
-        if hit is None:
-            hit = sp_rep.ad_sp(self.data, k)
-            self._adsp[k] = hit
-        return hit
+    def carrier(self):
+        """The `CarrierColumns` of this spec, built on the first call."""
+        if self._carrier is None:
+            data = self.data
+            dim = data.dim
+
+            def shifted(vec, k):
+                return _columns(linalg.mat_add(
+                    self.rho_d(vec), self.rho_sp(sp_rep.ad_sp(data, k))))
+
+            fcols = {}
+            for i in range(1, dim):
+                for j in range(i, dim):
+                    if not linalg.is_zero_matrix(self.sprep.f(i, j)):
+                        fcols[(i, j)] = fcols[(j, i)] = _columns(
+                            self.rho_f(i, j))
+            self._carrier = CarrierColumns(
+                first=shifted(data.basis_vector(0), 0),
+                dual=(None,) + tuple(shifted(data.dual_vector(k), k)
+                                     for k in range(1, dim)),
+                f=fcols,
+            )
+        return self._carrier
 
     # -- the defining action on generators ----------------------------------
 
@@ -107,15 +142,14 @@ class TensorModuleSpec:
             return hit
         data, env = self.data, self.env
         dim = data.dim
+        car = self.carrier()
         zero_i = env_mod.unit_index(dim)
-        unit_u = tuple(ONE if i == r else ZERO for i in range(self.dim_r))
+        unit_u = ((r, ONE),)
 
         raw = {}
 
-        def put(F, G, J, vec, scl=ONE):
-            for rr, x in enumerate(vec):
-                if not x:
-                    continue
+        def put(F, G, J, col, scl=ONE):
+            for rr, x in col:
                 key = (F, G, (J, rr))
                 w = raw.get(key, ZERO) + scl * x
                 if w:
@@ -126,13 +160,9 @@ class TensorModuleSpec:
         eps0 = tuple(env_mod.eps(dim, 0))
         epsk = [tuple(env_mod.eps(dim, k)) for k in range(dim)]
 
-        # shared pieces; the "V" formula uses the plain carrier action (the
-        # trace shift of the carrier is already absorbed into its shape)
-        act_d0 = linalg.mat_vec(self.rho_d(data.basis_vector(0)), unit_u)
-        act_ad0 = linalg.mat_vec(self.rho_sp(self.adsp_matrix(0)), unit_u)
-        first = tuple(a + b for a, b in zip(act_d0, act_ad0))
-
-        put(zero_i, zero_i, zero_i, first)
+        # the "V" formula uses the plain carrier action (the trace shift of
+        # the carrier is already absorbed into its shape)
+        put(zero_i, zero_i, zero_i, car.first[r])
         if self.convention == "V":
             put(zero_i, zero_i, eps0, unit_u, -ONE)
         else:
@@ -145,12 +175,9 @@ class TensorModuleSpec:
                         put(epsk[i], epsk[m], zero_i, unit_u, rim)
 
         for k in range(1, dim):
-            dual = data.dual_vector(k)
-            act = linalg.mat_vec(self.rho_d(dual), unit_u)
-            act2 = linalg.mat_vec(self.rho_sp(self.adsp_matrix(k)), unit_u)
-            val = [a + b for a, b in zip(act, act2)]
-            put(epsk[k], zero_i, zero_i, val, -ONE)
+            put(epsk[k], zero_i, zero_i, car.dual[k][r], -ONE)
             if self.convention == "V":
+                dual = data.dual_vector(k)
                 for m in range(1, dim):
                     if dual[m]:
                         put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
@@ -159,11 +186,11 @@ class TensorModuleSpec:
         put(eps0, zero_i, zero_i, unit_u, self.c / 2)
         for i in range(1, dim):
             for j in range(1, dim):
-                fu = linalg.mat_vec(self.rho_f(i, j), unit_u)
-                if all(x == 0 for x in fu):
+                cols = car.f.get((i, j))
+                if cols is None or not cols[r]:
                     continue
-                for F, cf in self.env.mono_mul(epsk[i], epsk[j]).items():
-                    put(F, zero_i, zero_i, fu, cf)
+                for F, cf in env.mono_mul(epsk[i], epsk[j]).items():
+                    put(F, zero_i, zero_i, cols[r], cf)
 
         self._gen_cache[r] = raw
         return raw
@@ -265,12 +292,14 @@ def e_star(spec, v):
 
 def is_singular(spec, v):
     """True iff e * v has left-normal coefficients only in contact degree
-    at most two; the equivalent right-sided criterion is asserted."""
+    at most two; the equivalent right-sided criterion is checked too, and
+    a disagreement raises ArithmeticError."""
     left = to_left_normal(spec.env, e_star_raw(spec, v))
     ok_left = all(contact_degree(F) <= 2 for F in left.terms)
     right = to_right_normal(spec.env, e_star_raw(spec, v))
     ok_right = all(contact_degree(G) <= 2 for G in right.terms)
-    assert ok_left == ok_right, "left and right singularity criteria disagree"
+    if ok_left != ok_right:
+        raise ArithmeticError("left and right singularity criteria disagree")
     return ok_left
 
 
@@ -332,7 +361,11 @@ class Verdict:
 
 
 def classify(spec, cutoff=None):
-    basis, used = singular_space(spec, cutoff)
+    return verdict_of(spec, *singular_space(spec, cutoff))
+
+
+def verdict_of(spec, basis, used):
+    """The verdict on a singular-space basis computed at cutoff `used`."""
     dims = filtration_dims(basis, used)
     degrees = tuple(
         d for d in range(1, used + 1) if dims[d] > dims[d - 1]
@@ -436,11 +469,19 @@ def psi_map(spec, u_vec):
     """psi(u) = sum_{ij} e_i e_j (x) f^{ij} u as a module element."""
     env = spec.env
     dim = spec.data.dim
+    fcols = spec.carrier().f
+    support = [(r, x) for r, x in enumerate(u_vec) if x]
     out = {}
     for i in range(1, dim):
         for j in range(1, dim):
-            fu = linalg.mat_vec(spec.rho_f(i, j), u_vec)
-            if all(x == 0 for x in fu):
+            cols = fcols.get((i, j))
+            if cols is None:
+                continue
+            fu = [ZERO] * spec.dim_r
+            for r, x in support:
+                for rr, y in cols[r]:
+                    fu[rr] += x * y
+            if not any(fu):
                 continue
             prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
                                 tuple(env_mod.eps(dim, j)))
@@ -707,7 +748,7 @@ def tau_rhs(data):
     full gl(d) matrix of `adsp_full`."""
     env = get_env(data)
     dim = data.dim
-    gens = sp_gens_for(data)
+    gens = sp_rep.sp_gens_for(data)
     out = {}
 
     def put(I, mat, scl=ONE):
@@ -767,7 +808,7 @@ def tau_check(data):
 
 def member_tensor_spec(data, member, twist=None, c=None):
     """T-convention spec whose carrier realizes a complex member."""
-    gens = sp_gens_for(data)
+    gens = sp_rep.sp_gens_for(data)
     rep = sp_rep.rep_from_action(
         data, gens, member.dim, member.sp_action_matrix
     )

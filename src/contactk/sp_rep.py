@@ -123,6 +123,18 @@ def build_sp(data):
     )
 
 
+_sp_cache = {}
+
+
+def sp_gens_for(data):
+    """The symplectic generators of a datum, built once per datum."""
+    hit = _sp_cache.get(id(data))
+    if hit is None or hit[0] is not data:
+        hit = (data, build_sp(data))
+        _sp_cache[id(data)] = hit
+    return hit[1]
+
+
 def is_symplectic_matrix(data, mat_bar):
     """omega(Au ^ v) = -omega(u ^ Av) on the barred space."""
     dim = data.dim
@@ -341,7 +353,7 @@ def ad_sp(data, k):
             acc = term if acc is None else linalg.mat_add(acc, term)
     if acc is None:
         acc = linalg.zeros(dim - 1)
-    sp_gens = build_sp(data)
+    sp_gens = sp_gens_for(data)
     for i in range(1, dim):
         for j in range(1, dim):
             c = data.c[i][j][k]

@@ -98,7 +98,17 @@ def test_grading_element_expansion(algebras):
 
 def test_gl_quotient(small_algebras):
     for data in small_algebras.values():
-        assert an.w0_quotient_iso_check(get_env(data))
+        ok, witness = an.w0_quotient_iso_check(get_env(data))
+        assert ok and witness is None
+
+
+def test_gl_quotient_witness_below_truncation_floor(sl2):
+    # at truncation 3 the e_0 direction loses the degree-one terms; the
+    # check names the first failing quadruple and both sides
+    ok, witness = an.w0_quotient_iso_check(get_env(sl2), 3)
+    assert not ok
+    assert {"a", "m", "lhs", "rhs"} <= set(witness)
+    assert witness["lhs"] != witness["rhs"]
 
 
 def test_csp_quotient(small_algebras):

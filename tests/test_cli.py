@@ -133,3 +133,14 @@ def test_failing_check_sets_exit_code(monkeypatch, capsys):
     assert cli.main(["annihilation", "--algebra", "sl2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "witness" in out
+
+
+def test_annihilation_truncation_floor_is_bad_config(monkeypatch, capsys):
+    def never(*_args):  # pragma: no cover - the floor is checked first
+        raise AssertionError("suite ran below the truncation floor")
+
+    monkeypatch.setattr(cli, "suite_annihilation", never)
+    for t in ("3", "0", "-1"):
+        assert run(["annihilation", "--algebra", "sl2",
+                    "--truncation", t]) == 2
+        assert "--truncation >= 4" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import make_spec
 
+from contactk import cli
 from contactk import enveloping as ev
 from contactk import exterior as ex
+from contactk import linalg as la
 from contactk import pseudoalgebra as pa
 from contactk import pseudoforms as pfm
 from contactk import sp_rep as sp
@@ -55,6 +59,110 @@ def test_constant_quadratic_coefficients(heis1):
                         assert got.get((ZI, rr), ZERO) == 2 * m[rr][r]
 
 
+def _dense_carrier(spec):
+    """The carrier matrices of the generator formula, built dense."""
+    data = spec.data
+
+    def shifted(vec, k):
+        return la.mat_add(spec.rho_d(vec), spec.rho_sp(sp.ad_sp(data, k)))
+
+    first = shifted(data.basis_vector(0), 0)
+    dual = [None] + [shifted(data.dual_vector(k), k)
+                     for k in range(1, data.dim)]
+    fmats = {(i, j): spec.rho_f(i, j)
+             for i in range(1, data.dim) for j in range(1, data.dim)}
+    return first, dual, fmats
+
+
+def _dense_generator(spec, mats, r):
+    """The generator formula with each dense carrier matrix applied to
+    the unit vector of r: the reference for the sparse carrier columns."""
+    first, dual_mats, fmats = mats
+    data = spec.data
+    dim = data.dim
+    zero_i = ev.unit_index(dim)
+    eps0 = tuple(ev.eps(dim, 0))
+    epsk = [tuple(ev.eps(dim, k)) for k in range(dim)]
+    unit_u = tuple(ONE if i == r else ZERO for i in range(spec.dim_r))
+    raw = {}
+
+    def put(F, G, J, vec, scl=ONE):
+        for rr, x in enumerate(vec):
+            if x:
+                key = (F, G, (J, rr))
+                raw[key] = raw.get(key, ZERO) + scl * x
+                if not raw[key]:
+                    del raw[key]
+
+    put(zero_i, zero_i, zero_i, la.mat_vec(first, unit_u))
+    if spec.convention == "V":
+        put(zero_i, zero_i, eps0, unit_u, -ONE)
+    else:
+        put(zero_i, eps0, zero_i, unit_u, -ONE)
+        for i in range(1, dim):
+            for m in range(1, dim):
+                if data.rmat[i][m]:
+                    put(epsk[i], epsk[m], zero_i, unit_u, data.rmat[i][m])
+    for k in range(1, dim):
+        put(epsk[k], zero_i, zero_i, la.mat_vec(dual_mats[k], unit_u), -ONE)
+        dual = data.dual_vector(k)
+        if spec.convention == "V":
+            for m in range(1, dim):
+                if dual[m]:
+                    put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
+    put(eps0, zero_i, zero_i, unit_u, spec.c / 2)
+    for (i, j), fmat in fmats.items():
+        fu = la.mat_vec(fmat, unit_u)
+        for F, cf in spec.env.mono_mul(epsk[i], epsk[j]).items():
+            put(F, zero_i, zero_i, fu, cf)
+    return raw
+
+
+def _dense_psi(spec, mats, u_vec):
+    dim = spec.data.dim
+    out = {}
+    for (i, j), fmat in mats[2].items():
+        fu = la.mat_vec(fmat, u_vec)
+        prod = spec.env.mono_mul(tuple(ev.eps(dim, i)), tuple(ev.eps(dim, j)))
+        for K, ck in prod.items():
+            for r, x in enumerate(fu):
+                if x:
+                    out[(K, r)] = out.get((K, r), ZERO) + ck * x
+    return {k: v for k, v in out.items() if v}
+
+
+def test_sparse_carrier_matches_dense_formula(sl2, heis1, heis2):
+    # the layout r = p*dim_u + u is exercised by the two-dimensional
+    # nilpotent2 twist, which sl2 (a perfect algebra) does not have; the
+    # dense reference is slow, so N = 2 alternates the two conventions
+    # over its (U, Pi) grid, and psi, which has no convention, is checked
+    # once per grid point
+    seen = set()
+    for name, data in (("sl2", sl2), ("heis1", heis1), ("heis2", heis2)):
+        us = ["trivial"] + [str(n) for n in range(1, data.N + 1)] + ["sym2"]
+        twists = ["trivial", "tr-ad"] + (["nilpotent2"] if data is not sl2
+                                         else [])
+        for k, (u, twist_name) in enumerate(
+                (u, t) for u in us for t in twists):
+            twist = cli.builtin_twist(data, twist_name)
+            conventions = "TV" if data.N < 2 else "TV"[k % 2]
+            for n, conv in enumerate(conventions):
+                spec = make_spec(data, u, Fraction(3, 2), conv, twist)
+                mats = _dense_carrier(spec)
+                for r in range(spec.dim_r):
+                    want = _dense_generator(spec, mats, r)
+                    assert spec._e_star_generator(r) == want, (
+                        name, twist_name, u, conv, r)
+                    if n == 0:
+                        unit_u = tuple(ONE if i == r else ZERO
+                                       for i in range(spec.dim_r))
+                        assert pa.psi_map(spec, unit_u) == \
+                            _dense_psi(spec, mats, unit_u)
+                seen.add((name, u, twist_name, conv))
+    assert len(seen) == 3 * 2 * 2 + 3 * 3 * 2 + 4 * 3
+    assert {key[-1] for key in seen if key[0] == "heis2"} == {"T", "V"}
+
+
 def test_left_normal_example(heis1):
     env = get_env(heis1)
     raw = {(ZI, (0, 1, 0), (ZI, 0)): ONE}
@@ -96,6 +204,21 @@ def test_singular_examples(heis1):
     assert pa.is_singular(spec0, {((0, 1, 0), 0): ONE})
     assert pa.is_singular(spec0, {((0, 0, 1), 0): ONE})
     assert not pa.is_singular(spec0, {((1, 0, 0), 0): ONE})
+
+
+def test_singular_disagreement_raises(heis1, monkeypatch):
+    # the right-normal criterion is an explicit check, not an assert that
+    # vanishes under python -O
+    spec = make_spec(heis1, "trivial", 0)
+    v = {(ZI, 0): ONE}
+    assert pa.is_singular(spec, v)
+
+    def disagreeing(env, raw):
+        return pa.NormalizedAction("right", {(0, 3, 0): {(ZI, 0): ONE}})
+
+    monkeypatch.setattr(pa, "to_right_normal", disagreeing)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        pa.is_singular(spec, v)
 
 
 def test_singular_space_trivial_factor(heis1):
