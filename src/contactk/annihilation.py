@@ -84,10 +84,6 @@ class TruncatedWElement:
         return TruncatedWElement(self.dim, min(self.truncation, t), self.coeffs)
 
 
-def w_element(dim, truncation, coeffs):
-    return TruncatedWElement(dim, truncation, coeffs)
-
-
 def w_monomial(dim, I, j, truncation):
     return TruncatedWElement(dim, truncation, {(tuple(I), j): ONE})
 
@@ -208,14 +204,6 @@ def in_w_contact(w, p):
     return True
 
 
-def drop_w_plain(w, p):
-    """Representative modulo W_p (drop terms inside)."""
-    out = {
-        k: c for k, c in w.coeffs.items() if plain_degree(k[0]) < p + 1
-    }
-    return TruncatedWElement(w.dim, w.truncation, out)
-
-
 def drop_w_intersection(w, p):
     """Representative modulo W'_p cap W_p."""
     out = {}
@@ -225,16 +213,6 @@ def drop_w_intersection(w, p):
         if not inside:
             out[(I, j)] = c
     return TruncatedWElement(w.dim, w.truncation, out)
-
-
-def dual_in_contact_fil(x, p):
-    """Membership of a dual element in Fil'_p X (support degree >= p+1)."""
-    return all(contact_degree(I) >= p + 1 for I in x.coeffs)
-
-
-def dual_drop_contact(x, p):
-    out = {I: c for I, c in x.coeffs.items() if contact_degree(I) < p + 1}
-    return DualElement(x.dim, x.truncation, out)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +233,6 @@ def w0_class_to_gl(data, w):
             m = next(k for k, v in enumerate(I) if v)
             mat[a][m] -= c
     return tuple(tuple(row) for row in mat)
-
-
-def gl_basis_bracket(data, a, m, b, n):
-    """[e_a^m, e_b^n] = delta^m_b e_a^n - delta^n_a e_b^m."""
-    dim = data.dim
-    out = linalg.zeros(dim)
-    if m == b:
-        out = linalg.mat_add(out, _elem(dim, a, n))
-    if n == a:
-        out = linalg.mat_sub(out, _elem(dim, b, m))
-    return out
 
 
 def _elem(dim, i, j):

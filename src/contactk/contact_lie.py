@@ -96,6 +96,25 @@ class ContactLieData:
     def basis_vector(self, i):
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
+    def __post_init__(self):
+        # set as an attribute: reading an instance's __dict__ would make
+        # every later attribute lookup on the datum about 3x slower
+        object.__setattr__(self, "_derived", {})
+
+    def derived(self, key, build):
+        """build(self), computed on the first call for `key` and kept on
+        this datum.
+
+        A derived value lives exactly as long as its datum and is
+        collected with it.  It is not a field, so equality, hashing and
+        repr ignore it, and an equal datum built separately builds its
+        own.
+        """
+        memo = self._derived
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
+
 
 def _check_antisymmetry(dim, c):
     for i in range(dim):
@@ -380,25 +399,47 @@ def builtin(name):
 def parse_rational(x):
     if isinstance(x, bool):
         raise ValueError("boolean is not a rational")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise ValueError(f"rational {x!r} has denominator 0") from None
     raise ValueError(f"cannot parse rational from {x!r}")
 
 
+def _bracket_index(x, dim):
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < dim:
+        raise ValueError(
+            f"bracket index {x!r} is not an integer in 0..{dim - 1}"
+        )
+    return x
+
+
 def load_algebra(text):
-    """Parse the shared input format: a JSON document with fields `dim`,
-    `brackets` (list of [i, j, k, numerator, denominator]) and `theta`
-    (list of rationals).  Omitted brackets are zero."""
+    """Parse the shared input format: a JSON object with fields `dim`,
+    `brackets` (list of [i, j, k, numerator, denominator], with integer
+    indices 0 <= i, j, k < dim and a nonzero denominator) and `theta` (list
+    of rationals).  Omitted brackets are zero.  Malformed input raises
+    ValueError."""
     doc = json.loads(text)
-    dim = int(doc["dim"])
+    if not isinstance(doc, dict) or "dim" not in doc or "theta" not in doc:
+        raise ValueError("an algebra must be a JSON object with dim and theta")
+    dim, brackets = doc["dim"], doc.get("brackets", [])
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dim {dim!r} is not an integer")
+    if not isinstance(brackets, list) or not isinstance(doc["theta"], list):
+        raise ValueError("brackets and theta must be lists")
     consts = {}
-    for entry in doc.get("brackets", []):
+    for entry in brackets:
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise ValueError(
+                f"bracket {entry!r} is not [i, j, k, numerator, denominator]"
+            )
         i, j, k, num, den = entry
-        consts[(int(i), int(j), int(k))] = Fraction(int(num), int(den))
+        key = tuple(_bracket_index(x, dim) for x in (i, j, k))
+        consts[key] = parse_rational((num, den))
     theta = tuple(parse_rational(t) for t in doc["theta"])
     if len(theta) != dim:
         raise ValueError("theta must have one entry per basis vector")

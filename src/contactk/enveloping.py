@@ -61,11 +61,6 @@ def contact_degree(I):
     return 2 * I[0] + sum(I[1:])
 
 
-def element_contact_degree(u):
-    """Max contact degree over the support; -1 for zero."""
-    return max((contact_degree(I) for I in u), default=-1)
-
-
 def multi_indices(dim, max_plain):
     """All multi-indices with plain degree <= max_plain."""
     out = []
@@ -254,12 +249,9 @@ class Enveloping:
                    ZERO)
 
 
-def get_env(data, _cache={}):
-    env = _cache.get(id(data))
-    if env is None or env.data is not data:
-        env = Enveloping(data)
-        _cache[id(data)] = env
-    return env
+def get_env(data):
+    """The enveloping algebra of a datum, built once per datum."""
+    return data.derived("env", Enveloping)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +306,6 @@ class DualElement:
 
     def truncated(self, t):
         return DualElement(self.dim, min(self.truncation, t), self.coeffs)
-
-
-def dual_unit(dim, truncation):
-    return DualElement(dim, truncation, {unit_index(dim): ONE})
 
 
 def dual_monomial(dim, I, truncation):

@@ -73,10 +73,6 @@ def form(degree, coeffs):
     return Form(degree, tuple(sorted(clean)))
 
 
-def zero_form(degree):
-    return Form(degree, ())
-
-
 def one_form(i):
     """Basis covector x^i."""
     return form(1, {(i,): ONE})
@@ -230,14 +226,6 @@ def omega_mul(data, a):
 # subspaces, reductions, the constant Rumin complex
 
 
-def form_to_vec(a):
-    return a.as_dict()
-
-
-def vec_to_form(degree, vec):
-    return form(degree, vec)
-
-
 def subspace(forms):
     """Echelonized span of forms, keyed by monomial tuples."""
     ech = Echelon()
@@ -278,10 +266,6 @@ def compute_K(data, n):
             col[("om",) + k] = v
         sys.add_column(key, col)
     return _echelonized_forms(n, sys.kernel())
-
-
-def compute_IK(data, n):
-    return compute_I(data, n), compute_K(data, n)
 
 
 def standard_keys(data, n, ech_I):
@@ -407,30 +391,26 @@ class ConstantRuminComplex:
         return True
 
 
-_solver_cache = {}
-
-
 def theta_omega_solver(data, n, reverse=False):
-    """Cached span of {theta^monomial, omega^monomial} in degree n, with a
-    deterministic column order (optionally reversed, to exercise
-    independence of pivoting choices)."""
-    key = (id(data), n, reverse)
-    hit = _solver_cache.get(key)
-    if hit is not None and hit[0] is data:
-        return hit[1]
-    om, th = omega_form(data), theta_form(data)
-    sys = LinearSystem()
-    cols = [("th", k) for k in monomials(data.dim, n - 1)]
-    cols += [("om", k) for k in monomials(data.dim, n - 2)]
-    if reverse:
-        cols = list(reversed(cols))
-    for lab in cols:
-        kind, k = lab
-        base = form(n - 1 if kind == "th" else n - 2, {k: ONE})
-        img = wedge(th if kind == "th" else om, base)
-        sys.add_column(lab, img.as_dict())
-    _solver_cache[key] = (data, sys)
-    return sys
+    """Span of {theta^monomial, omega^monomial} in degree n, built once per
+    datum, with a deterministic column order (optionally reversed, to
+    exercise independence of pivoting choices)."""
+
+    def build(data):
+        om, th = omega_form(data), theta_form(data)
+        sys = LinearSystem()
+        cols = [("th", k) for k in monomials(data.dim, n - 1)]
+        cols += [("om", k) for k in monomials(data.dim, n - 2)]
+        if reverse:
+            cols = list(reversed(cols))
+        for lab in cols:
+            kind, k = lab
+            base = form(n - 1 if kind == "th" else n - 2, {k: ONE})
+            img = wedge(th if kind == "th" else om, base)
+            sys.add_column(lab, img.as_dict())
+        return sys
+
+    return data.derived(("theta_omega", n, reverse), build)
 
 
 def solve_theta_omega(data, n, target, reverse=False):

@@ -50,10 +50,6 @@ def vec_sub(u, v):
     return vec_iadd(out, v, -ONE)
 
 
-def vec_eq(u, v):
-    return vec_sub(u, v) == {}
-
-
 class Echelon:
     """Reduced row echelon basis of sparse vectors.
 
@@ -164,9 +160,6 @@ class LinearSystem:
             return None
         return {lab: -c for lab, c in aug.items()}
 
-    def in_span(self, target):
-        return self.solve(target) is not None
-
     def kernel(self):
         """Basis of {x : sum_i x_i column_i = 0} as {label: c} dicts."""
         out = []
@@ -228,16 +221,8 @@ def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
-
-
-def mat_eq(a, b):
-    return is_zero_matrix(mat_sub(a, b))
 
 
 def kron(a, b):

@@ -81,14 +81,6 @@ class TensorModuleSpec:
         self._gen_cache = {}
         self._carrier = None
 
-    def describe(self):
-        return {
-            "convention": self.convention,
-            "dim_pi": self.dim_pi,
-            "dim_u": self.dim_u,
-            "c": str(self.c),
-        }
-
     # -- carrier actions ----------------------------------------------------
 
     def rho_d(self, vec):
@@ -232,9 +224,6 @@ def e_star_raw(spec, v):
 class NormalizedAction:
     side: str  # "left" or "right"
     terms: dict  # multi-index -> TensorElement
-
-    def support_degrees(self):
-        return sorted({contact_degree(F) for F in self.terms})
 
 
 def _put_tensor(acc, key, c):
@@ -609,28 +598,17 @@ def jacobi_check(spec, v=None):
 
     left1 = to_left_normal(env, e_star_raw(spec, v))
 
-    def side(F1_mult, flip):
-        out = {}
-        for F, w in left1.terms.items():
-            inner = to_left_normal(env, e_star_raw(spec, w))
-            for F2, t in inner.terms.items():
-                key = (F, F2) if flip else (F2, F)
-                acc = out.setdefault(key, {})
-                for vk, c in t.items():
-                    _put_tensor(acc, vk, c)
-        return out
-
-    rhs1 = side(None, flip=False)  # e * (e * v): (f' (x) f (x) 1)
-    rhs2 = side(None, flip=True)  # swapped legs
+    # e * (e * v) at (f' (x) f (x) 1), minus the same with the legs swapped
     rhs = {}
-    for key, t in rhs1.items():
-        acc = rhs.setdefault(key, {})
-        for vk, c in t.items():
-            _put_tensor(acc, vk, c)
-    for key, t in rhs2.items():
-        acc = rhs.setdefault(key, {})
-        for vk, c in t.items():
-            _put_tensor(acc, vk, -c)
+    for F, w in left1.terms.items():
+        inner = to_left_normal(env, e_star_raw(spec, w))
+        for F2, t in inner.terms.items():
+            acc = rhs.setdefault((F2, F), {})
+            for vk, c in t.items():
+                _put_tensor(acc, vk, c)
+            acc = rhs.setdefault((F, F2), {})
+            for vk, c in t.items():
+                _put_tensor(acc, vk, -c)
 
     lhs = {}
     g = bracket_element(data)

@@ -79,10 +79,6 @@ def pform(degree, coeffs):
     return PseudoForm(degree, tuple(sorted(clean)))
 
 
-def pf_zero(degree):
-    return PseudoForm(degree, ())
-
-
 def pf_from_form(dim, a, h=None):
     """h (x) alpha for a constant form alpha; h defaults to 1."""
     terms = {}
@@ -238,15 +234,6 @@ def theta_mul_p(env, a):
 
 def omega_mul_p(env, a):
     return wedge_const(env, exterior.omega_form(env.data), a)
-
-
-def in_I_pseudo(data, a):
-    """Componentwise membership in H (x) I^n."""
-    ech = exterior.compute_I(data, a.degree)
-    for I in pf_h_support(a):
-        if not ech.contains(pf_component(a, I).as_dict()):
-            return False
-    return True
 
 
 def in_K_pseudo(env, a):

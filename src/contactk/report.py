@@ -59,17 +59,6 @@ class Suite:
             }
         )
 
-    def run(self, name, statement, fn):
-        """Run a nullary callable returning ok or (ok, witness)."""
-        try:
-            result = fn()
-        except Exception as exc:  # record, do not crash the whole suite
-            return self.record(name, statement, False, {"exception": repr(exc)})
-        if isinstance(result, tuple):
-            ok, witness = result
-            return self.record(name, statement, ok, witness)
-        return self.record(name, statement, bool(result), None)
-
     @property
     def failed(self):
         return [c for c in self.checks if c["status"] == "fail"]

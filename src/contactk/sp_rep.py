@@ -123,16 +123,9 @@ def build_sp(data):
     )
 
 
-_sp_cache = {}
-
-
 def sp_gens_for(data):
     """The symplectic generators of a datum, built once per datum."""
-    hit = _sp_cache.get(id(data))
-    if hit is None or hit[0] is not data:
-        hit = (data, build_sp(data))
-        _sp_cache[id(data)] = hit
-    return hit[1]
+    return data.derived("sp_gens", build_sp)
 
 
 def is_symplectic_matrix(data, mat_bar):
@@ -156,11 +149,10 @@ def sp_dimension(data):
     return n * (2 * n + 1)
 
 
-def sp_coordinates(data, sp_gens, mat_bar, _cache={}):
+def sp_coordinates(data, sp_gens, mat_bar):
     """Coordinates of a symplectic matrix in the f^{ij} basis."""
-    key = id(data)
-    sys = _cache.get(key)
-    if sys is None or _cache.get((key, "data")) is not data:
+
+    def f_system(data):
         sys = LinearSystem()
         for (i, j), f in sp_gens.f_raised.items():
             sys.add_column(
@@ -172,8 +164,9 @@ def sp_coordinates(data, sp_gens, mat_bar, _cache={}):
                     if f[r][c]
                 },
             )
-        _cache[key] = sys
-        _cache[(key, "data")] = data
+        return sys
+
+    sys = data.derived("sp_coordinates", f_system)
     target = {
         (r, c): mat_bar[r][c]
         for r in range(data.dim - 1)
@@ -206,14 +199,6 @@ class SpRep:
                 return m
         raise KeyError((i, j))
 
-    def apply_sp(self, sp_gens, mat_bar):
-        """Representation matrix of an arbitrary symplectic matrix."""
-        coords = sp_coordinates(self.data, sp_gens, mat_bar)
-        acc = linalg.zeros(self.dim)
-        for (i, j), c in coords.items():
-            acc = linalg.mat_add(acc, linalg.mat_scale(self.f(i, j), c))
-        return acc
-
 
 def rep_from_action(data, sp_gens, carrier_dim, act):
     """Build an SpRep from a closure mapping a barred matrix to a carrier
@@ -226,11 +211,6 @@ def rep_from_action(data, sp_gens, carrier_dim, act):
 
 def trivial_rep(data, sp_gens):
     return rep_from_action(data, sp_gens, 1, lambda f: ((ZERO,),))
-
-
-def vector_rep(data, sp_gens):
-    """The defining representation on the barred space."""
-    return rep_from_action(data, sp_gens, data.dim - 1, lambda f: f)
 
 
 def sym_square_rep(data, sp_gens):

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from contactk import cli
 
 
@@ -144,3 +146,25 @@ def test_annihilation_truncation_floor_is_bad_config(monkeypatch, capsys):
         assert run(["annihilation", "--algebra", "sl2",
                     "--truncation", t]) == 2
         assert "--truncation >= 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 3, "brackets": [[0, 1, 5, 1, 1]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[-3, 1, 2, 1, 1]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 0]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 1]], "theta": [0, 0, "1/0"]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1]], "theta": [0, 0, 1]},
+    [3, [[0, 1, 2, 1, 1]], [0, 0, 1]],
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 1]]},
+    {"dim": [3], "brackets": [[0, 1, 2, 1, 1]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 1]], "theta": 1},
+], ids=["index-too-large", "index-negative", "zero-denominator",
+        "zero-theta-denominator", "short-bracket", "top-level-list",
+        "no-theta", "list-dim", "scalar-theta"])
+def test_malformed_algebra_file_is_bad_config(doc, tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-core", "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.strip() != "error:"
+    assert "Traceback" not in err

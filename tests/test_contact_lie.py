@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -199,3 +201,21 @@ def test_random_inputs_build_or_raise_declared_errors():
         assert data.theta[0] == -1
         assert cl.check_remark_identity(data)
     assert built > 10  # the generator finds plenty of genuine contact data
+
+
+def test_derived_objects_do_not_keep_the_datum_alive():
+    # what is derived from a datum lives on the datum, not in module
+    # caches, so a datum nothing refers to is collected
+    from contactk import exterior, pseudoalgebra, pseudoforms, sp_rep
+
+    data = cl.resolve_algebra("heisenberg:1")
+    rep = sp_rep.fundamental_rep(data, sp_rep.sp_gens_for(data), 1)
+    spec = pseudoalgebra.TensorModuleSpec(
+        data, pseudoforms.trivial_twist(data), rep, Fraction(1)
+    )
+    assert pseudoalgebra.singular_space(spec)
+    assert exterior.theta_omega_solver(data, data.N + 1) is not None
+    ref = weakref.ref(data)
+    del data, rep, spec
+    gc.collect()
+    assert ref() is None

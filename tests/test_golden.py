@@ -27,6 +27,10 @@ CASES = {
         "classify", "--algebra", "heisenberg:1", "--pi", "nilpotent2",
     ],
     "rumin_heis1": ["rumin", "--algebra", "heisenberg:1"],
+    "verify_core_heis1": ["verify-core", "--algebra", "heisenberg:1"],
+    "annihilation_sl2_t4": [
+        "annihilation", "--algebra", "sl2", "--truncation", "4",
+    ],
 }
 
 
