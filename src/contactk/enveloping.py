@@ -6,9 +6,13 @@ rationals in the divided-power basis e^(I) = e_0^{i_0} ... e_{2N}^{i_{2N}}
 binomial-free splitting D(e^(I)) = sum_{J+K=I} e^(J) (x) e^(K) and the
 straightening recursion carries small integer coefficients.
 
-The straightening memo (generator times basis element) is the one shared
-mutable structure; it is a per-instance dict used with get-or-compute
-semantics, so concurrent readers at worst recompute an entry.
+Each instance keeps four memos, all per-instance dicts used with
+get-or-compute semantics, so concurrent readers at worst recompute an
+entry: the straightening of a generator times a basis element
+(`_gen_mul`), products of basis elements (`_mono_mul`), antipodes of basis
+elements (`_antipode`), and the normal-form image of a unit term
+(e^(F) (x) e^(G)) (x)_H e^(J) (`_image`), which `left_image` and
+`right_image` share.
 
 Two gradings matter: the plain degree |I| = sum(I) and the contact degree
 |I|' = 2 i_0 + i_1 + ... + i_{2N}, where the distinguished direction s
@@ -132,6 +136,7 @@ class Enveloping:
         self._gen_mul = {}
         self._mono_mul = {}
         self._antipode = {}
+        self._image = {}
 
     # -- multiplication ----------------------------------------------------
 
@@ -240,6 +245,36 @@ class Enveloping:
         for I, c in u.items():
             iadd(out, self.antipode_basis(I), c)
         return out
+
+    # -- normal forms of (H (x) H) (x)_H V ---------------------------------
+
+    def left_image(self, F, G, J):
+        """(e^(F) (x) e^(G)) (x)_H e^(J) in left-normal form: the sum over
+        D(e^(G)) = sum e^(G1) (x) e^(G2) of (e^(F) S(e^(G1)) (x) 1) (x)_H
+        e^(G2) e^(J), as a tuple of ((F', J'), coefficient) pairs without
+        zeros.  It depends only on the Hopf structure, so it is computed
+        once per key."""
+        key = (F, G, J)
+        hit = self._image.get(key)
+        if hit is not None:
+            return hit
+        acc = {}
+        for G1 in itertools.product(*(range(g + 1) for g in G)):
+            vpart = self.mono_mul(sub_index(G, G1), J).items()
+            for Fk, cf in self.mul({F: ONE}, self.antipode_basis(G1)).items():
+                for Jk, cj in vpart:
+                    k = (Fk, Jk)
+                    acc[k] = acc.get(k, ZERO) + cf * cj
+        out = tuple((k, c) for k, c in acc.items() if c)
+        self._image[key] = out
+        return out
+
+    def right_image(self, F, G, J):
+        """(e^(F) (x) e^(G)) (x)_H e^(J) in right-normal form: the sum over
+        D(e^(F)) of (1 (x) e^(G) S(e^(F1))) (x)_H e^(F2) e^(J), as a tuple
+        of ((G', J'), coefficient) pairs.  This is the left image with the
+        two legs swapped, so both read one memo."""
+        return self.left_image(G, F, J)
 
     # -- dual --------------------------------------------------------------
 

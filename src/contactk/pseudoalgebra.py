@@ -8,12 +8,13 @@ conventions for the action of the carrier R are supported: the plain one
 the trace character and shifting the central scalar by 2N+2.
 
 Action values live in (H (x) H) (x)_H V and are handled in one of two
-normal forms (coefficients on the left or on the right slot), which is
-the single place the Hopf structure enters.  A vector is singular when
-the left-normal coefficients of e * v vanish beyond contact degree two;
-singular spaces are computed as exact kernels of that condition over a
-bounded window, and the reducibility verdict compares them with the
-constants.
+normal forms (coefficients on the left or on the right slot).  Both read
+the Hopf structure only through the memoized image of a unit term,
+`Enveloping.left_image` and `Enveloping.right_image`.  A vector is
+singular when the left-normal coefficients of e * v vanish beyond contact
+degree two; singular spaces are computed as exact kernels of that
+condition over a bounded window, and the reducibility verdict compares
+them with the constants.
 """
 
 from dataclasses import dataclass
@@ -238,13 +239,8 @@ def to_left_normal(env, raw):
     """(f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v."""
     out = {}
     for (F, G, (J, r)), c in raw.items():
-        for (G1, G2), cg in env.coproduct({G: ONE}).items():
-            left = env.mul({F: c * cg}, env.antipode_basis(G1))
-            vpart = env.mono_mul(G2, J)
-            for Fk, cf in left.items():
-                acc = out.setdefault(Fk, {})
-                for Jk, cj in vpart.items():
-                    _put_tensor(acc, (Jk, r), cf * cj)
+        for (Fk, Jk), x in env.left_image(F, G, J):
+            _put_tensor(out.setdefault(Fk, {}), (Jk, r), c * x)
     return NormalizedAction("left", {F: t for F, t in out.items() if t})
 
 
@@ -252,13 +248,8 @@ def to_right_normal(env, raw):
     """(f (x) g) (x)_H v = sum (1 (x) g S(f_(1))) (x)_H f_(2) v."""
     out = {}
     for (F, G, (J, r)), c in raw.items():
-        for (F1, F2), cf in env.coproduct({F: ONE}).items():
-            right = env.mul({G: c * cf}, env.antipode_basis(F1))
-            vpart = env.mono_mul(F2, J)
-            for Gk, cg in right.items():
-                acc = out.setdefault(Gk, {})
-                for Jk, cj in vpart.items():
-                    _put_tensor(acc, (Jk, r), cg * cj)
+        for (Gk, Jk), x in env.right_image(F, G, J):
+            _put_tensor(out.setdefault(Gk, {}), (Jk, r), c * x)
     return NormalizedAction("right", {G: t for G, t in out.items() if t})
 
 
@@ -283,9 +274,10 @@ def is_singular(spec, v):
     """True iff e * v has left-normal coefficients only in contact degree
     at most two; the equivalent right-sided criterion is checked too, and
     a disagreement raises ArithmeticError."""
-    left = to_left_normal(spec.env, e_star_raw(spec, v))
+    raw = e_star_raw(spec, v)
+    left = to_left_normal(spec.env, raw)
     ok_left = all(contact_degree(F) <= 2 for F in left.terms)
-    right = to_right_normal(spec.env, e_star_raw(spec, v))
+    right = to_right_normal(spec.env, raw)
     ok_right = all(contact_degree(G) <= 2 for G in right.terms)
     if ok_left != ok_right:
         raise ArithmeticError("left and right singularity criteria disagree")
@@ -612,9 +604,10 @@ def jacobi_check(spec, v=None):
 
     lhs = {}
     g = bracket_element(data)
-    for (P, Q), cg in g.items():
-        for F, w in left1.terms.items():
-            for (F1, F2), cf in env.coproduct({F: ONE}).items():
+    for F, w in left1.terms.items():
+        split = env.coproduct({F: ONE}).items()
+        for (P, Q), cg in g.items():
+            for (F1, F2), cf in split:
                 a = env.mono_mul(P, F1)
                 b = env.mono_mul(Q, F2)
                 for A, ca in a.items():

@@ -23,6 +23,9 @@ CASES = {
     "singular_heis2_pi2_c2": [
         "singular", "--algebra", "heisenberg:2", "--u", "pi:2", "--c", "2",
     ],
+    "singular_heis3_pi1_c1": [
+        "singular", "--algebra", "heisenberg:3", "--u", "pi:1", "--c", "1",
+    ],
     "classify_heis1_nilpotent2": [
         "classify", "--algebra", "heisenberg:1", "--pi", "nilpotent2",
     ],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from contactk import linalg as la
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 def test_echelon_reduce_and_rank():
@@ -68,6 +69,41 @@ def test_rank_nullity(seed):
         for j, c in combo.items():
             la.vec_iadd(acc, cols[j], c)
         assert acc == {}
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.integers(1, 5), n_cols=st.integers(1, 5), data=st.data())
+def test_kernel_and_rank_match_sympy(sympy, n_rows, n_cols, data):
+    cols = data.draw(st.lists(
+        st.lists(RATIONAL, min_size=n_rows, max_size=n_rows),
+        min_size=n_cols, max_size=n_cols))
+    # one column combined from the others, so kernels are not left to chance
+    weights = data.draw(st.lists(RATIONAL, min_size=n_cols, max_size=n_cols))
+    cols.append([sum((w * col[i] for w, col in zip(weights, cols)), ZERO)
+                 for i in range(n_rows)])
+    sys = la.LinearSystem()
+    for j, col in enumerate(cols):
+        sys.add_column(j, {i: x for i, x in enumerate(col) if x})
+    rows = la.mat(zip(*cols))
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in rows])
+    kern = sys.kernel()
+    assert len(kern) == len(m.nullspace())
+    if kern:
+        k = sympy.Matrix([[sympy.Rational(combo.get(j, ZERO).numerator,
+                                          combo.get(j, ZERO).denominator)
+                           for combo in kern] for j in range(len(cols))])
+        assert (m * k).is_zero_matrix
+        assert k.rank() == len(kern)
+    assert la.matrix_rank(rows) == m.rank()
 
 
 @settings(max_examples=25, deadline=None)

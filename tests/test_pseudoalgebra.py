@@ -198,6 +198,53 @@ def test_normal_form_roundtrip_random(sl2):
         assert l1.terms == l2.terms
 
 
+def _reference_normal(env, raw, left):
+    """The per-term rewriting that the memoized images replace: for the
+    left form, (f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v;
+    for the right form the two legs trade places."""
+    out = {}
+    for (F, G, (J, r)), c in raw.items():
+        keep, split = (F, G) if left else (G, F)
+        for (S1, S2), cs in env.coproduct({split: ONE}).items():
+            part = env.mul({keep: c * cs}, env.antipode_basis(S1))
+            vpart = env.mono_mul(S2, J)
+            for K, ck in part.items():
+                for Jk, cj in vpart.items():
+                    la.vec_iadd(out.setdefault(K, {}), {(Jk, r): ck * cj})
+    return {K: t for K, t in out.items() if t}
+
+
+def test_normal_form_images_match_reference(sl2, heis1, heis2):
+    # sl2 is not nilpotent: S(e^(G1)) has several terms there
+    assert len(ev.Enveloping(sl2).antipode_basis((0, 1, 1))) > 1
+    rng = random.Random(11)
+    for data in (sl2, heis1, heis2):
+        env = ev.Enveloping(data)
+        idx = ev.multi_indices(data.dim, 2)
+        for _ in range(25):
+            key = (rng.choice(idx), rng.choice(idx), rng.choice(idx))
+            raw = {(key[0], key[1], (key[2], 0)): ONE}
+            for left, image in ((True, env.left_image),
+                                (False, env.right_image)):
+                got = image(*key)
+                assert image(*key) is got
+                want = _reference_normal(env, raw, left)
+                assert dict(got) == {
+                    (K, Jk): c for K, t in want.items()
+                    for (Jk, _r), c in t.items()}
+        for _ in range(10):
+            raw = {}
+            for _k in range(4):
+                raw[(rng.choice(idx), rng.choice(idx),
+                     (rng.choice(idx), rng.randrange(2)))] = \
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            raw = {k: v for k, v in raw.items() if v}
+            assert pa.to_left_normal(env, raw).terms == \
+                _reference_normal(env, raw, True)
+            assert pa.to_right_normal(env, raw).terms == \
+                _reference_normal(env, raw, False)
+
+
 def test_singular_examples(heis1):
     spec0 = make_spec(heis1, "trivial", 0)
     assert pa.is_singular(spec0, {(ZI, 0): ONE})
