@@ -1012,10 +1012,11 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
     nontrivial = twist.dim_carrier > 1 or any(
         not linalg.is_zero_matrix(m) for m in twist.mats
     )
-    which = twist if nontrivial else None
+    specs, maps = palg.twisted_contact_complex(
+        data, twist if nontrivial else None)
     pr = Probe()
-    for pos in range(len(hmats)):
-        pr.check(palg.complex_homomorphism_check(data, which, pos),
+    for pos in range(len(maps)):
+        pr.check(palg.complex_homomorphism_check(specs, maps, pos),
                  position=pos)
     suite.record(
         "rumin.homomorphism",
@@ -1111,7 +1112,7 @@ def suite_annihilation(suite, data, rng, truncation):
     )
 
 
-def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
+def run_classify(suite, data, c_min, c_max, twist, audit_cutoff=None):
     gens = sp_rep.sp_gens_for(data)
     names = ["trivial"] + [f"pi:{n}" for n in range(1, data.N + 1)] + ["sym2"]
     suite.record(
@@ -1131,7 +1132,7 @@ def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
     for name in names:
         rep, (kind, p) = builtin_u(data, gens, name)
         for c in range(c_min, c_max + 1):
-            spec = palg.TensorModuleSpec(data, twist, rep, Fraction(c), "V")
+            spec = palg.TensorModuleSpec(data, twist, rep, Fraction(c))
             basis, used = palg.singular_space(spec, audit_cutoff)
             verdict = palg.verdict_of(spec, basis, used)
             want_red, want_deg = palg.expected_verdict(kind, p, c, data.N)
@@ -1203,7 +1204,7 @@ def run_classify(suite, data, rng, c_min, c_max, twist, audit_cutoff=None):
 def run_singular(suite, data, twist, u_name, c):
     gens = sp_rep.sp_gens_for(data)
     rep, (_kind, _p) = builtin_u(data, gens, u_name)
-    spec = palg.TensorModuleSpec(data, twist, rep, c, "V")
+    spec = palg.TensorModuleSpec(data, twist, rep, c)
     basis, cutoff = palg.singular_space(spec)
     suite.record(
         "singular.constants",
@@ -1337,14 +1338,15 @@ def run_command(args):
     elif args.command == "singular":
         config["u"] = args.u
         config["c"] = args.c
-        run_singular(suite, data, twist, args.u, Fraction(args.c))
+        run_singular(suite, data, twist, args.u,
+                     contact_lie.parse_rational(args.c))
     elif args.command == "classify":
         c_max = args.c_max if args.c_max is not None else 2 * data.N + 4
         config["c_min"] = args.c_min
         config["c_max"] = c_max
         if args.audit_cutoff is not None:
             config["audit_cutoff"] = args.audit_cutoff
-        run_classify(suite, data, rng, args.c_min, c_max, twist,
+        run_classify(suite, data, args.c_min, c_max, twist,
                      args.audit_cutoff)
     elif args.command == "annihilation":
         if args.truncation < 4:

@@ -1,11 +1,10 @@
 """The rank-one contact pseudoalgebra and its tensor modules.
 
-The generator e acts on a free module H (x) R through an explicit formula
-involving the distinguished direction, the dual basis, the projected
-adjoint (`sp_rep.ad_sp`) and the symplectic generators.  Two bookkeeping
-conventions for the action of the carrier R are supported: the plain one
-("T") and the trace-shifted one ("V"); they are related by tensoring with
-the trace character and shifting the central scalar by 2N+2.
+The generator e acts on a tensor module V(Pi, U, c) = H (x) R through one
+explicit formula involving the distinguished direction, the dual basis,
+the projected adjoint (`sp_rep.ad_sp`) and the symplectic generators.
+The members of the contact complex are tensor modules too, with Pi and c
+shifted as `member_tensor_spec` states.
 
 Action values live in (H (x) H) (x)_H V and are handled in one of two
 normal forms (coefficients on the left or on the right slot).  Both read
@@ -54,11 +53,10 @@ def _columns(mat):
 
 
 class TensorModuleSpec:
-    """A tensor module H (x) (Pi [x] U) with central scalar c.
+    """The tensor module V(Pi, U, c): H (x) (Pi [x] U) with central scalar c.
 
-    convention "T" uses the plain carrier action; "V" uses the
-    trace-shifted action formula.  The two are intertwined by
-    V(Pi, U, c) = T(Pi (x) k_{tr ad}, U, c - 2N - 2).
+    There is one action formula; complex members reach it through the
+    shift stated at `member_tensor_spec`.
 
     The carrier R = Pi (x) U has the basis r = p*dim_u + u.  Its action
     enters the generator formula through the matrices of `CarrierColumns`,
@@ -66,14 +64,11 @@ class TensorModuleSpec:
     `rho_d`, `rho_sp` and `rho_f` are the dense builders behind them.
     """
 
-    def __init__(self, data, twist, sprep, c, convention="V"):
-        if convention not in ("T", "V"):
-            raise ValueError("convention must be 'T' or 'V'")
+    def __init__(self, data, twist, sprep, c):
         self.data = data
         self.twist = twist
         self.sprep = sprep
         self.c = Fraction(c)
-        self.convention = convention
         self.env = get_env(data)
         self.sp_gens = sp_rep.sp_gens_for(data)
         self.dim_pi = twist.dim_carrier
@@ -153,27 +148,16 @@ class TensorModuleSpec:
         eps0 = tuple(env_mod.eps(dim, 0))
         epsk = [tuple(env_mod.eps(dim, k)) for k in range(dim)]
 
-        # the "V" formula uses the plain carrier action (the trace shift of
-        # the carrier is already absorbed into its shape)
+        # the carrier acts plainly (the trace shift of the module is
+        # already absorbed into the shape of the formula)
         put(zero_i, zero_i, zero_i, car.first[r])
-        if self.convention == "V":
-            put(zero_i, zero_i, eps0, unit_u, -ONE)
-        else:
-            # the term -e (x)_H (1 (x) u) with e = 1 (x) e_0 - sum e_i (x) d^i
-            put(zero_i, eps0, zero_i, unit_u, -ONE)
-            for i in range(1, dim):
-                for m in range(1, dim):
-                    rim = data.rmat[i][m]
-                    if rim:
-                        put(epsk[i], epsk[m], zero_i, unit_u, rim)
-
+        put(zero_i, zero_i, eps0, unit_u, -ONE)
         for k in range(1, dim):
             put(epsk[k], zero_i, zero_i, car.dual[k][r], -ONE)
-            if self.convention == "V":
-                dual = data.dual_vector(k)
-                for m in range(1, dim):
-                    if dual[m]:
-                        put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
+            dual = data.dual_vector(k)
+            for m in range(1, dim):
+                if dual[m]:
+                    put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
 
         # central term and the quadratic symplectic terms
         put(eps0, zero_i, zero_i, unit_u, self.c / 2)
@@ -644,6 +628,15 @@ def _e_raised_full(data, i, j):
     return acc
 
 
+def _put_matrix(out, I, mat, scl=ONE):
+    """Add scl * mat to the gl(d) matrix stored at multi-index I."""
+    if linalg.is_zero_matrix(mat):
+        return
+    acc = out.get(I)
+    scaled = linalg.mat_scale(mat, scl)
+    out[I] = scaled if acc is None else linalg.mat_add(acc, scaled)
+
+
 def tau_of_e(data):
     """The gl-valued component of the image of e inside the semidirect
     extension: tau(h (x) e_i) = h (x) ad e_i + sum_j h e_j (x) e_i^j,
@@ -652,18 +645,11 @@ def tau_of_e(data):
     env = get_env(data)
     dim = data.dim
     out = {}
-
-    def put(I, mat, scl=ONE):
-        if linalg.is_zero_matrix(mat):
-            return
-        acc = out.get(I)
-        scaled = linalg.mat_scale(mat, scl)
-        out[I] = scaled if acc is None else linalg.mat_add(acc, scaled)
-
     zero = env_mod.unit_index(dim)
-    put(zero, data.ad_matrix(0))
+    _put_matrix(out, zero, data.ad_matrix(0))
     for j in range(dim):
-        put(tuple(env_mod.eps(dim, j)), _elementary_full(dim, 0, j))
+        _put_matrix(out, tuple(env_mod.eps(dim, j)),
+                    _elementary_full(dim, 0, j))
     for i in range(1, dim):
         # - e_i (x) ad d^i - sum_j e_i e_j (x) e^{ij}
         adsum = linalg.zeros(dim)
@@ -671,13 +657,13 @@ def tau_of_e(data):
             r = data.rmat[i][m]
             if r:
                 adsum = linalg.mat_add(adsum, linalg.mat_scale(data.ad_matrix(m), r))
-        put(tuple(env_mod.eps(dim, i)), adsum, -ONE)
+        _put_matrix(out, tuple(env_mod.eps(dim, i)), adsum, -ONE)
         for j in range(dim):
             eij = _e_raised_full(data, i, j)
             prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
                                 tuple(env_mod.eps(dim, j)))
             for K, ck in prod.items():
-                put(K, eij, -ck)
+                _put_matrix(out, K, eij, -ck)
     return {I: m for I, m in out.items() if not linalg.is_zero_matrix(m)}
 
 
@@ -721,32 +707,26 @@ def tau_rhs(data):
     dim = data.dim
     gens = sp_rep.sp_gens_for(data)
     out = {}
-
-    def put(I, mat, scl=ONE):
-        if linalg.is_zero_matrix(mat):
-            return
-        acc = out.get(I)
-        scaled = linalg.mat_scale(mat, scl)
-        out[I] = scaled if acc is None else linalg.mat_add(acc, scaled)
-
     zero = env_mod.unit_index(dim)
-    put(zero, adsp_full(data, 0))
+    _put_matrix(out, zero, adsp_full(data, 0))
     for i in range(1, dim):
-        put(tuple(env_mod.eps(dim, i)), adsp_full(data, i), -ONE)
-    put(tuple(env_mod.eps(dim, 0)), gens.i_prime, Fraction(1, 2))
+        _put_matrix(out, tuple(env_mod.eps(dim, i)), adsp_full(data, i),
+                    -ONE)
+    _put_matrix(out, tuple(env_mod.eps(dim, 0)), gens.i_prime,
+                Fraction(1, 2))
     for i in range(1, dim):
         ei0 = _e_raised_full(data, i, 0)
         prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
                             tuple(env_mod.eps(dim, 0)))
         for K, ck in prod.items():
-            put(K, ei0, -ck)
+            _put_matrix(out, K, ei0, -ck)
     for i in range(1, dim):
         for j in range(1, dim):
             fij = sp_rep.embed_bar(data, gens.f(i, j))
             prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
                                 tuple(env_mod.eps(dim, j)))
             for K, ck in prod.items():
-                put(K, fij, ck)
+                _put_matrix(out, K, fij, ck)
     return {I: m for I, m in out.items() if not linalg.is_zero_matrix(m)}
 
 
@@ -777,15 +757,22 @@ def tau_check(data):
 # module homomorphisms and the twisted complex
 
 
-def member_tensor_spec(data, member, twist=None, c=None):
-    """T-convention spec whose carrier realizes a complex member."""
+def member_tensor_spec(data, member, twist=None):
+    """The tensor module whose carrier realizes a complex member.
+
+    The member acts on its carrier through the plain action T(Pi, U, c) of
+    the generator e = 1 (x) e_0 - sum e_i (x) d^i, with c its natural
+    central scalar.  The plain and the tensor-module actions are tied by
+    V(Pi, U, c) = T(Pi (x) k_{tr ad}, U, c - 2N - 2), so the member is
+    V(Pi (x) k_{-tr ad}, U, c + 2N + 2): Pi shifted by minus the trace
+    character, c by 2N + 2."""
     gens = sp_rep.sp_gens_for(data)
     rep = sp_rep.rep_from_action(
         data, gens, member.dim, member.sp_action_matrix
     )
     tv = twist if twist is not None else pseudoforms.trivial_twist(data)
-    cc = member.natural_c if c is None else c
-    return TensorModuleSpec(data, tv, rep, cc, convention="T")
+    tv = pseudoforms.twist_times_character(tv, [-x for x in data.trace_ad])
+    return TensorModuleSpec(data, tv, rep, member.natural_c + 2 * data.N + 2)
 
 
 def homomorphism_check(src_spec, tgt_spec, hmat):
@@ -837,13 +824,13 @@ def v_index_of_member(data, member):
     return 2 * nn + 1 - member.degree
 
 
-def complex_homomorphism_check(data, twist, position):
-    """For the map out of the complex member at the given list position:
-    the intertwining condition on degree-0 generators, vanishing of the
-    composition with the adjacent map, and singularity of the generator
-    images in the target."""
-    specs, hmats = twisted_contact_complex(data, twist)
-    env = get_env(data)
+def complex_homomorphism_check(specs, hmats, position):
+    """For the map out of the complex member at the given list position
+    of `twisted_contact_complex`'s (specs, hmats): the intertwining
+    condition on degree-0 generators, vanishing of the composition with
+    the adjacent map, and singularity of the generator images in the
+    target."""
+    env = specs[position].env
     if not homomorphism_check(specs[position], specs[position + 1],
                               hmats[position]):
         return False
@@ -852,7 +839,7 @@ def complex_homomorphism_check(data, twist, position):
                                          hmats[position + 1])
         if not pseudoforms.hmat_is_zero(comp):
             return False
-    zero = env_mod.unit_index(data.dim)
+    zero = env_mod.unit_index(specs[position].data.dim)
     for r in range(specs[position].dim_r):
         img = pseudoforms.apply_hmat(env, hmats[position], {(zero, r): ONE})
         if img and not is_singular(specs[position + 1], img):

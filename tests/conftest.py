@@ -39,7 +39,7 @@ def small_algebras(sl2, heis1):
     return {"sl2": sl2, "heis1": heis1}
 
 
-def make_spec(data, u_kind, c, convention="V", twist=None):
+def make_spec(data, u_kind, c, twist=None):
     from contactk import pseudoalgebra as palg
 
     gens = sp_rep.build_sp(data)
@@ -50,7 +50,7 @@ def make_spec(data, u_kind, c, convention="V", twist=None):
     else:
         rep = sp_rep.fundamental_rep(data, gens, int(u_kind))
     tw = twist if twist is not None else pseudoforms.trivial_twist(data)
-    return palg.TensorModuleSpec(data, tw, rep, Fraction(c), convention)
+    return palg.TensorModuleSpec(data, tw, rep, Fraction(c))
 
 
 @pytest.fixture(scope="session")

@@ -46,17 +46,14 @@ def scan_results():
         data = cl.resolve_algebra(name)
         suite = report_mod.Suite()
         table = cli.run_classify(
-            suite, data, random.Random(1), -3, c_max,
-            pfm.trivial_twist(data),
+            suite, data, -3, c_max, pfm.trivial_twist(data),
         )
         out[name] = (suite, table)
     out["n1_elapsed"] = time.time() - t0
     t1 = time.time()
     data = cl.heisenberg(2)
     suite = report_mod.Suite()
-    table = cli.run_classify(
-        suite, data, random.Random(1), -3, 8, pfm.trivial_twist(data)
-    )
+    table = cli.run_classify(suite, data, -3, 8, pfm.trivial_twist(data))
     out["heisenberg:2"] = (suite, table)
     out["n2_elapsed"] = time.time() - t1
     return out
@@ -355,9 +352,10 @@ def test_criterion_8_twisted_complex():
         pfm.hmat_is_zero(pfm.compose_hmats(env, tw[i], tw[i + 1]))
         for i in range(len(tw) - 1)
     )
+    specs, maps = pa.twisted_contact_complex(data, twist)
     ok &= all(
-        pa.complex_homomorphism_check(data, twist, pos)
-        for pos in range(len(hmats))
+        pa.complex_homomorphism_check(specs, maps, pos)
+        for pos in range(len(maps))
     )
     _verdict(8, "twisted complex composes to zero and intertwines the "
              "action", ok, time.time() - t0, 120.0)

@@ -168,3 +168,11 @@ def test_malformed_algebra_file_is_bad_config(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.strip() != "error:"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_bad_central_scalar_is_bad_config(value, capsys):
+    assert run(["singular", "--algebra", "heisenberg:1", "--c", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+    assert "Traceback" not in err

@@ -74,9 +74,12 @@ def _dense_carrier(spec):
     return first, dual, fmats
 
 
-def _dense_generator(spec, mats, r):
+def _dense_generator(spec, mats, r, plain=False):
     """The generator formula with each dense carrier matrix applied to
-    the unit vector of r: the reference for the sparse carrier columns."""
+    the unit vector of r: the reference for the sparse carrier columns.
+    With `plain`, the plain action T(Pi, U, c) of the generator
+    e = 1 (x) e_0 - sum e_i (x) d^i instead, the reference for the
+    identity V(Pi, U, c) = T(Pi (x) k_{tr ad}, U, c - 2N - 2)."""
     first, dual_mats, fmats = mats
     data = spec.data
     dim = data.dim
@@ -95,18 +98,18 @@ def _dense_generator(spec, mats, r):
                     del raw[key]
 
     put(zero_i, zero_i, zero_i, la.mat_vec(first, unit_u))
-    if spec.convention == "V":
-        put(zero_i, zero_i, eps0, unit_u, -ONE)
-    else:
+    if plain:
         put(zero_i, eps0, zero_i, unit_u, -ONE)
         for i in range(1, dim):
             for m in range(1, dim):
                 if data.rmat[i][m]:
                     put(epsk[i], epsk[m], zero_i, unit_u, data.rmat[i][m])
+    else:
+        put(zero_i, zero_i, eps0, unit_u, -ONE)
     for k in range(1, dim):
         put(epsk[k], zero_i, zero_i, la.mat_vec(dual_mats[k], unit_u), -ONE)
         dual = data.dual_vector(k)
-        if spec.convention == "V":
+        if not plain:
             for m in range(1, dim):
                 if dual[m]:
                     put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
@@ -133,34 +136,27 @@ def _dense_psi(spec, mats, u_vec):
 
 def test_sparse_carrier_matches_dense_formula(sl2, heis1, heis2):
     # the layout r = p*dim_u + u is exercised by the two-dimensional
-    # nilpotent2 twist, which sl2 (a perfect algebra) does not have; the
-    # dense reference is slow, so N = 2 alternates the two conventions
-    # over its (U, Pi) grid, and psi, which has no convention, is checked
-    # once per grid point
+    # nilpotent2 twist, which sl2 (a perfect algebra) does not have
     seen = set()
     for name, data in (("sl2", sl2), ("heis1", heis1), ("heis2", heis2)):
         us = ["trivial"] + [str(n) for n in range(1, data.N + 1)] + ["sym2"]
         twists = ["trivial", "tr-ad"] + (["nilpotent2"] if data is not sl2
                                          else [])
-        for k, (u, twist_name) in enumerate(
-                (u, t) for u in us for t in twists):
-            twist = cli.builtin_twist(data, twist_name)
-            conventions = "TV" if data.N < 2 else "TV"[k % 2]
-            for n, conv in enumerate(conventions):
-                spec = make_spec(data, u, Fraction(3, 2), conv, twist)
+        for u in us:
+            for twist_name in twists:
+                twist = cli.builtin_twist(data, twist_name)
+                spec = make_spec(data, u, Fraction(3, 2), twist)
                 mats = _dense_carrier(spec)
                 for r in range(spec.dim_r):
                     want = _dense_generator(spec, mats, r)
                     assert spec._e_star_generator(r) == want, (
-                        name, twist_name, u, conv, r)
-                    if n == 0:
-                        unit_u = tuple(ONE if i == r else ZERO
-                                       for i in range(spec.dim_r))
-                        assert pa.psi_map(spec, unit_u) == \
-                            _dense_psi(spec, mats, unit_u)
-                seen.add((name, u, twist_name, conv))
-    assert len(seen) == 3 * 2 * 2 + 3 * 3 * 2 + 4 * 3
-    assert {key[-1] for key in seen if key[0] == "heis2"} == {"T", "V"}
+                        name, twist_name, u, r)
+                    unit_u = tuple(ONE if i == r else ZERO
+                                   for i in range(spec.dim_r))
+                    assert pa.psi_map(spec, unit_u) == \
+                        _dense_psi(spec, mats, unit_u)
+                seen.add((name, u, twist_name))
+    assert len(seen) == 3 * 2 + 3 * 3 + 4 * 3
 
 
 def test_left_normal_example(heis1):
@@ -364,16 +360,22 @@ def test_skewness(algebras, nonuni):
         assert pa.skewness_check(data)
 
 
+def _jacobi_on_members(data):
+    # the members are built with a shifted twist and central scalar
+    return all(pa.jacobi_check(pa.member_tensor_spec(data, mem))
+               for mem in pfm.contact_complex_members(data))
+
+
 def test_jacobi(heis1, sl2):
     for data in (heis1, sl2):
         for kind, c in (("trivial", 0), ("1", 1), ("1", -2), ("sym2", 3)):
             assert pa.jacobi_check(make_spec(data, kind, c))
-        assert pa.jacobi_check(make_spec(data, "1", -1, convention="T"))
+    assert _jacobi_on_members(heis1)
 
 
 def test_jacobi_nonunimodular(nonuni):
     assert pa.jacobi_check(make_spec(nonuni, "1", 2))
-    assert pa.jacobi_check(make_spec(nonuni, "trivial", 1, convention="T"))
+    assert _jacobi_on_members(nonuni)
 
 
 def test_tau_identity(algebras, nonuni):
@@ -386,55 +388,63 @@ def test_tau_identity(algebras, nonuni):
         )
 
 
-def test_convention_bridge(heis1, pi2_heis1, nonuni):
-    # the trace-shifted module equals the plain one twisted by the trace
-    # character with the central scalar moved by 2N+2
-    cases = [(heis1, pi2_heis1), (nonuni, pfm.trivial_twist(nonuni))]
+def test_convention_bridge(heis1, pi2_heis1, nonuni, heis2):
+    # V(Pi, U, c) = T(Pi (x) k_{tr ad}, U, c - 2N - 2): the tensor-module
+    # action equals the plain one twisted by the trace character with the
+    # central scalar moved by 2N+2
+    cases = [(heis1, pi2_heis1), (nonuni, pfm.trivial_twist(nonuni)),
+             (heis2, cli.builtin_twist(heis2, "nilpotent2"))]
     for data, twist in cases:
         gens = sp.build_sp(data)
         rep = sp.fundamental_rep(data, gens, 1)
+        tw = pfm.twist_times_character(twist, data.trace_ad)
         for c in (0, 1, 2):
-            specv = pa.TensorModuleSpec(data, twist, rep, Fraction(c), "V")
-            tw = pfm.twist_times_character(twist, data.trace_ad)
+            specv = pa.TensorModuleSpec(data, twist, rep, Fraction(c))
+            # only the carrier and c of this spec are read, by the
+            # dense plain formula
             spect = pa.TensorModuleSpec(
-                data, tw, rep, Fraction(c) - (2 * data.N + 2), "T"
-            )
+                data, tw, rep, Fraction(c) - (2 * data.N + 2))
+            mats = _dense_carrier(spect)
             for r in range(specv.dim_r):
                 v = {((0,) * data.dim, r): ONE}
                 lv = pa.to_left_normal(specv.env, pa.e_star_raw(specv, v))
-                lt = pa.to_left_normal(spect.env, pa.e_star_raw(spect, v))
-                assert lv.terms == lt.terms
+                lt = pa.to_left_normal(
+                    spect.env, _dense_generator(spect, mats, r, plain=True))
+                assert lv.terms == lt.terms, (data.dim, c, r)
 
 
-def test_member_action_matches_direct(heis1):
-    env = get_env(heis1)
-    members = pfm.contact_complex_members(heis1)
-    for mem in members:
-        spec = pa.member_tensor_spec(heis1, mem)
-        for gi, f in enumerate(mem.basis):
-            direct = pfm.e_star_direct(env, pfm.pf_from_form(3, f))
-            grouped = {}
-            for (F, G, T), c in direct.items():
-                grouped.setdefault((F, G), {})[T] = c
-            raw = {}
-            for (F, G), coeffs in grouped.items():
-                cform = ex.form(mem.degree, coeffs)
-                for idx, cc in mem.form_coords(cform).items():
-                    key = (F, G, (ZI, idx))
-                    raw[key] = raw.get(key, ZERO) + cc
-            raw = {k: v for k, v in raw.items() if v}
-            lhs = pa.to_left_normal(env, raw)
-            rhs = pa.to_left_normal(
-                env, pa.e_star_raw(spec, {(ZI, gi): ONE})
-            )
-            assert lhs.terms == rhs.terms
+def test_member_action_matches_direct(heis1, nonuni, heis2):
+    # nonuni has a nonzero trace character, so its members see the shift
+    # of Pi by minus the trace
+    for data in (heis1, nonuni, heis2):
+        env = get_env(data)
+        zero = ev.unit_index(data.dim)
+        for mem in pfm.contact_complex_members(data):
+            spec = pa.member_tensor_spec(data, mem)
+            for gi, f in enumerate(mem.basis):
+                direct = pfm.e_star_direct(env, pfm.pf_from_form(data.dim, f))
+                grouped = {}
+                for (F, G, T), c in direct.items():
+                    grouped.setdefault((F, G), {})[T] = c
+                raw = {}
+                for (F, G), coeffs in grouped.items():
+                    cform = ex.form(mem.degree, coeffs)
+                    for idx, cc in mem.form_coords(cform).items():
+                        key = (F, G, (zero, idx))
+                        raw[key] = raw.get(key, ZERO) + cc
+                raw = {k: v for k, v in raw.items() if v}
+                lhs = pa.to_left_normal(env, raw)
+                rhs = pa.to_left_normal(
+                    env, pa.e_star_raw(spec, {(zero, gi): ONE})
+                )
+                assert lhs.terms == rhs.terms, (data.dim, mem.degree, gi)
 
 
 def test_complex_homomorphisms(heis1, pi2_heis1):
     for twist in (None, pi2_heis1):
         specs, hmats = pa.twisted_contact_complex(heis1, twist)
         for pos in range(len(hmats)):
-            assert pa.complex_homomorphism_check(heis1, twist, pos)
+            assert pa.complex_homomorphism_check(specs, hmats, pos)
 
 
 def test_v_index_of_member(heis1):
@@ -466,11 +476,11 @@ def test_generalizes_beyond_small_rank():
     val = sp.scalar_matrix_value(sp.casimir_apply(data, gens, rep3))
     assert val == Fraction(15, 2)
     triv = pfm.trivial_twist(data)
-    spec = pa.TensorModuleSpec(data, triv, rep3, Fraction(3), "V")
+    spec = pa.TensorModuleSpec(data, triv, rep3, Fraction(3))
     verdict = pa.classify(spec)
     assert verdict.reducible and verdict.degrees == (2,)
     spec = pa.TensorModuleSpec(
-        data, triv, sp.fundamental_rep(data, gens, 1), Fraction(2), "V"
+        data, triv, sp.fundamental_rep(data, gens, 1), Fraction(2)
     )
     assert not pa.classify(spec).reducible
 
