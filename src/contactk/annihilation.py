@@ -121,7 +121,7 @@ def w_bracket(env, u, v):
             scl = cu * cv
             # xy (x) [a, b]
             xy = dual_mul(x, y)
-            for k, cbr in data.bracket_basis(a, b).items():
+            for k, cbr in data.bracket_basis(a, b):
                 for K, ck in xy.coeffs.items():
                     put(K, k, scl * cbr * ck)
             # - x (y a) (x) b

@@ -54,9 +54,9 @@ class ContactLieData:
         return (self.dim - 1) // 2
 
     def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse dict index -> coefficient."""
-        row = self.c[i][j]
-        return {k: v for k, v in enumerate(row) if v}
+        """[e_i, e_j] as a tuple of (index, coefficient) pairs without
+        zeros, built once per datum and shared by every caller."""
+        return self.derived("bracket_basis", _bracket_rows)[i][j]
 
     def bracket_vec(self, u, v):
         out = [ZERO] * self.dim
@@ -114,6 +114,13 @@ class ContactLieData:
         if key not in memo:
             memo[key] = build(self)
         return memo[key]
+
+
+def _bracket_rows(data):
+    return tuple(
+        tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in rows)
+        for rows in data.c
+    )
 
 
 def _check_antisymmetry(dim, c):

@@ -160,7 +160,7 @@ class Enveloping:
             # e_j e_k = e_k e_j + [e_j, e_k]
             for M, c in self.gen_mul(j, Iprime).items():
                 iadd(out, self.gen_mul(k, M), c)
-            for l, cv in self.data.bracket_basis(j, k).items():
+            for l, cv in self.data.bracket_basis(j, k):
                 iadd(out, self.gen_mul(l, Iprime), cv)
             out = scale(out, Fraction(1, I[k]))
         self._gen_mul[key] = out

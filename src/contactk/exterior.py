@@ -158,7 +158,7 @@ def d0(data, a):
             for q in range(p + 1, n + 1):
                 rest = tuple(x for t, x in enumerate(key) if t != p and t != q)
                 sgn_pq = -ONE if (p + q) % 2 else ONE  # (-1)^{(p+1)+(q+1)}
-                for k, cv in data.bracket_basis(key[p], key[q]).items():
+                for k, cv in data.bracket_basis(key[p], key[q]):
                     ins = insert_index(k, rest)
                     if ins is None:
                         continue

@@ -16,6 +16,7 @@ condition over a bounded window, and the reducibility verdict compares
 them with the constants.
 """
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,15 +53,33 @@ def _columns(mat):
     )
 
 
+class _CFreeState:
+    """The parts of a tensor module that do not depend on c.
+
+    A spec and every sibling `TensorModuleSpec.at` makes from it hold one
+    of these, so each part is built once for all of them: the carrier
+    columns, the generator images without the central term, the Casimir
+    on the carrier and, once the spec has siblings, the singular-space
+    column pairs per cutoff (`columns`, None for a standalone spec)."""
+
+    def __init__(self):
+        self.carrier = None
+        self.generators = {}
+        self.casimir = None
+        self.columns = None
+
+
 class TensorModuleSpec:
     """The tensor module V(Pi, U, c): H (x) (Pi [x] U) with central scalar c.
 
     There is one action formula; complex members reach it through the
-    shift stated at `member_tensor_spec`.
+    shift stated at `member_tensor_spec`.  It depends on c only through
+    the central term c/2 (e_0 (x) 1) (x)_H u_r, which `e_star_raw` adds;
+    everything else is kept on a `_CFreeState` that `at` shares.
 
     The carrier R = Pi (x) U has the basis r = p*dim_u + u.  Its action
     enters the generator formula through the matrices of `CarrierColumns`,
-    built once per spec on first use and held only as sparse columns;
+    built once per state on first use and held only as sparse columns;
     `rho_d`, `rho_sp` and `rho_f` are the dense builders behind them.
     """
 
@@ -74,8 +93,19 @@ class TensorModuleSpec:
         self.dim_pi = twist.dim_carrier
         self.dim_u = sprep.dim
         self.dim_r = self.dim_pi * self.dim_u
-        self._gen_cache = {}
-        self._carrier = None
+        self._state = _CFreeState()
+
+    def at(self, c):
+        """The same (data, twist, U) module at central charge c.
+
+        The result and this spec are siblings: they share one
+        `_CFreeState`, and from now on `singular_space` keeps the column
+        pairs of that state for every sibling to read."""
+        twin = copy.copy(self)
+        twin.c = Fraction(c)
+        if self._state.columns is None:
+            self._state.columns = {}
+        return twin
 
     # -- carrier actions ----------------------------------------------------
 
@@ -100,7 +130,8 @@ class TensorModuleSpec:
 
     def carrier(self):
         """The `CarrierColumns` of this spec, built on the first call."""
-        if self._carrier is None:
+        state = self._state
+        if state.carrier is None:
             data = self.data
             dim = data.dim
 
@@ -114,18 +145,29 @@ class TensorModuleSpec:
                     if not linalg.is_zero_matrix(self.sprep.f(i, j)):
                         fcols[(i, j)] = fcols[(j, i)] = _columns(
                             self.rho_f(i, j))
-            self._carrier = CarrierColumns(
+            state.carrier = CarrierColumns(
                 first=shifted(data.basis_vector(0), 0),
                 dual=(None,) + tuple(shifted(data.dual_vector(k), k)
                                      for k in range(1, dim)),
                 f=fcols,
             )
-        return self._carrier
+        return state.carrier
+
+    def casimir(self):
+        """The Casimir -sum_{ij} rho(f_ij) rho(f^{ij}) on the carrier R,
+        built on the first call."""
+        state = self._state
+        if state.casimir is None:
+            cas = sp_rep.casimir_apply(self.data, self.sp_gens, self.sprep)
+            state.casimir = linalg.kron(linalg.identity(self.dim_pi), cas)
+        return state.casimir
 
     # -- the defining action on generators ----------------------------------
 
     def _e_star_generator(self, r):
-        hit = self._gen_cache.get(r)
+        """e * (1 (x) u_r) as raw terms, without the central term."""
+        cache = self._state.generators
+        hit = cache.get(r)
         if hit is not None:
             return hit
         data, env = self.data, self.env
@@ -159,8 +201,8 @@ class TensorModuleSpec:
                 if dual[m]:
                     put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
 
-        # central term and the quadratic symplectic terms
-        put(eps0, zero_i, zero_i, unit_u, self.c / 2)
+        # the quadratic symplectic terms; the central term is added by
+        # e_star_raw, so that these terms serve every c
         for i in range(1, dim):
             for j in range(1, dim):
                 cols = car.f.get((i, j))
@@ -169,7 +211,7 @@ class TensorModuleSpec:
                 for F, cf in env.mono_mul(epsk[i], epsk[j]).items():
                     put(F, zero_i, zero_i, cols[r], cf)
 
-        self._gen_cache[r] = raw
+        cache[r] = raw
         return raw
 
 
@@ -187,6 +229,19 @@ def element_degree(v):
     return max((contact_degree(I) for (I, _r) in v), default=-1)
 
 
+def _put_central(out, dim, v, scl):
+    """Add scl (e_0 (x) e^(J)) (x)_H u_r for each (J, r) of v: the central
+    term scl (e_0 (x) 1) (x)_H u_r of the generator, extended H-bilinearly
+    (e^(J) * 1 = e^(J))."""
+    if not scl:
+        return out
+    eps0 = tuple(env_mod.eps(dim, 0))
+    zero = env_mod.unit_index(dim)
+    for (J, r), coeff in v.items():
+        _put_tensor(out, (eps0, J, (zero, r)), coeff * scl)
+    return out
+
+
 def e_star_raw(spec, v):
     """Raw action terms: dict (F, G, (J, r)) -> coefficient, meaning sums
     of (e^(F) (x) e^(G)) (x)_H (e^(J) (x) u_r).  The H-bilinear extension
@@ -202,7 +257,7 @@ def e_star_raw(spec, v):
                     out[key] = w
                 else:
                     out.pop(key, None)
-    return out
+    return _put_central(out, spec.data.dim, v, spec.c / 2)
 
 
 @dataclass
@@ -268,25 +323,64 @@ def is_singular(spec, v):
     return ok_left
 
 
+def _high_part(env, raw):
+    """The left-normal coefficients of raw beyond contact degree two, as
+    one sparse vector keyed (F, (J, r))."""
+    col = {}
+    for F, t in to_left_normal(env, raw).terms.items():
+        if contact_degree(F) <= 2:
+            continue
+        for key, c in t.items():
+            col[(F, key)] = c
+    return col
+
+
+def _column_pairs(spec, cutoff):
+    """((I, r), m0, m1) for every column of `singular_space`, in column
+    order: m0 is the high part of e * (e^(I) (x) u_r) at c = 0 and m1 that
+    of its central term at c = 1, so the column at c is m0 + c m1.  Kept
+    on the spec's shared state, once per cutoff."""
+    pairs = spec._state.columns.get(cutoff)
+    if pairs is None:
+        env, dim = spec.env, spec.data.dim
+        at0 = spec.at(0)
+        pairs = []
+        for I in env_mod.contact_indices(dim, cutoff):
+            for r in range(spec.dim_r):
+                v = {(I, r): ONE}
+                m0 = _high_part(env, e_star_raw(at0, v))
+                m1 = _high_part(env, _put_central({}, dim, v, ONE / 2))
+                pairs.append(((I, r), m0, m1))
+        spec._state.columns[cutoff] = pairs
+    return pairs
+
+
 def singular_space(spec, cutoff=None):
     """Exact basis of the singular vectors with coefficient contact degree
     bounded by the cutoff (2 when the symplectic action is nontrivial,
-    3 otherwise, following the degree bound for proper submodules)."""
+    3 otherwise, following the degree bound for proper submodules).
+
+    A standalone spec computes each column from the action and streams it
+    into the elimination.  A spec with siblings (see `TensorModuleSpec.at`)
+    forms each column as m0 + c m1 from the pairs its siblings share; the
+    columns, their order and so the reduced echelon form are the same."""
     if cutoff is None:
         cutoff = default_cutoff(spec)
-    env = spec.env
     sys = LinearSystem()
-    for I in env_mod.contact_indices(spec.data.dim, cutoff):
-        for r in range(spec.dim_r):
-            v = {(I, r): ONE}
-            left = to_left_normal(env, e_star_raw(spec, v))
-            col = {}
-            for F, t in left.terms.items():
-                if contact_degree(F) <= 2:
-                    continue
-                for key, c in t.items():
-                    col[(F, key)] = c
-            sys.add_column((I, r), col)
+    if spec._state.columns is None:
+        env = spec.env
+        for I in env_mod.contact_indices(spec.data.dim, cutoff):
+            for r in range(spec.dim_r):
+                v = {(I, r): ONE}
+                sys.add_column((I, r), _high_part(env, e_star_raw(spec, v)))
+    else:
+        c = spec.c
+        for label, m0, m1 in _column_pairs(spec, cutoff):
+            col = dict(m0)
+            if c:
+                for key, x in m1.items():
+                    _put_tensor(col, key, c * x)
+            sys.add_column(label, col)
     basis = [tensor_element(combo) for combo in sys.kernel()]
     return basis, cutoff
 
@@ -514,9 +608,7 @@ def degree2_structure_check(spec, v, p):
     want_v0 = tuple((spec.c / 2 - nn - 1) * x for x in u_vec)
     ok_v0 = v0 == want_v0
     # c v_0 = sum_ab f_ab f^{ab} (u): the negative of the Casimir
-    cas = sp_rep.casimir_apply(data, spec.sp_gens, spec.sprep)
-    cas_r = linalg.kron(linalg.identity(spec.dim_pi), cas)
-    rhs = tuple(-x for x in linalg.mat_vec(cas_r, u_vec))
+    rhs = tuple(-x for x in linalg.mat_vec(spec.casimir(), u_vec))
     ok_cas = tuple(spec.c * x for x in v0) == rhs
     if any(u_vec):
         quadratic = spec.c ** 2 - (2 * nn + 2) * spec.c + p * (2 * nn + 2 - p)

@@ -136,7 +136,7 @@ def pseudo_d(env, a):
             for q in range(p + 1, n + 1):
                 rest = tuple(x for t, x in enumerate(T) if t != p and t != q)
                 sgn_pq = -ONE if (p + q) % 2 else ONE
-                for k, cv in data.bracket_basis(T[p], T[q]).items():
+                for k, cv in data.bracket_basis(T[p], T[q]):
                     ins = insert_index(k, rest)
                     if ins is None:
                         continue
@@ -308,7 +308,7 @@ class TwistData:
             for j in range(data.dim):
                 lhs = linalg.commutator(self.mats[i], self.mats[j])
                 rhs = linalg.zeros(self.dim_carrier)
-                for k, c in data.bracket_basis(i, j).items():
+                for k, c in data.bracket_basis(i, j):
                     rhs = linalg.mat_add(rhs, linalg.mat_scale(self.mats[k], c))
                 if lhs != rhs:
                     raise ValueError(

@@ -31,7 +31,7 @@ def test_bracket_expansion_against_primitives(heis1):
                 an.w_monomial(3, tuple(ev.eps(3, j)), i, 4),
             )
             want = {}
-            for k, c in heis1.bracket_basis(0, i).items():
+            for k, c in heis1.bracket_basis(0, i):
                 want[(tuple(ev.eps(3, j)), k)] = c
             x = ev.dual_covector(3, j, 4)
             x0 = ev.d_right(env, x, heis1.basis_vector(0))

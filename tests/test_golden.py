@@ -26,6 +26,10 @@ CASES = {
     "singular_heis3_pi1_c1": [
         "singular", "--algebra", "heisenberg:3", "--u", "pi:1", "--c", "1",
     ],
+    "classify_heis2": ["classify", "--algebra", "heisenberg:2"],
+    "classify_heis1_audit4": [
+        "classify", "--algebra", "heisenberg:1", "--audit-cutoff", "4",
+    ],
     "classify_heis1_nilpotent2": [
         "classify", "--algebra", "heisenberg:1", "--pi", "nilpotent2",
     ],

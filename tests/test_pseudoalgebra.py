@@ -11,6 +11,7 @@ from contactk import exterior as ex
 from contactk import linalg as la
 from contactk import pseudoalgebra as pa
 from contactk import pseudoforms as pfm
+from contactk import report as report_mod
 from contactk import sp_rep as sp
 from contactk.enveloping import get_env
 
@@ -147,9 +148,12 @@ def test_sparse_carrier_matches_dense_formula(sl2, heis1, heis2):
                 twist = cli.builtin_twist(data, twist_name)
                 spec = make_spec(data, u, Fraction(3, 2), twist)
                 mats = _dense_carrier(spec)
+                zero = ev.unit_index(data.dim)
                 for r in range(spec.dim_r):
                     want = _dense_generator(spec, mats, r)
-                    assert spec._e_star_generator(r) == want, (
+                    # the generator cache is c-free: the central term
+                    # enters through e_star_raw
+                    assert pa.e_star_raw(spec, {(zero, r): ONE}) == want, (
                         name, twist_name, u, r)
                     unit_u = tuple(ONE if i == r else ZERO
                                    for i in range(spec.dim_r))
@@ -376,6 +380,84 @@ def test_jacobi(heis1, sl2):
 def test_jacobi_nonunimodular(nonuni):
     assert pa.jacobi_check(make_spec(nonuni, "1", 2))
     assert _jacobi_on_members(nonuni)
+
+
+def _classify_jacobi(data, c_min, c_max):
+    suite = report_mod.Suite()
+    cli.run_classify(suite, data, c_min, c_max, pfm.trivial_twist(data))
+    return {c["name"]: c["status"] for c in suite.checks
+            if c["name"].endswith(".jacobi")}
+
+
+def test_three_point_jacobi_matches_per_c(heis1, heis2):
+    # run_classify checks three c per U and infers the rest; the inferred
+    # statuses must be those of a direct check at every c of the window
+    for data in (heis1, heis2):
+        c_max = 2 * data.N + 4
+        got = _classify_jacobi(data, -3, c_max)
+        want = {}
+        for u in ["trivial"] + [str(n) for n in range(1, data.N + 1)] + [
+                "sym2"]:
+            name = u if u in ("trivial", "sym2") else f"pi:{u}"
+            for c in range(-3, c_max + 1):
+                ok = pa.jacobi_check(make_spec(data, u, c))
+                want[f"classify.{name}.c={c}.jacobi"] = (
+                    "pass" if ok else "fail")
+        assert got == want
+
+
+def test_jacobi_falls_back_to_each_c(heis1, monkeypatch):
+    real = pa.jacobi_check
+    seen = []
+
+    def failing_at_minus_three(spec, v=None):
+        if v is None:
+            seen.append(spec.c)
+        return spec.c != -3 and real(spec, v)
+
+    monkeypatch.setattr(pa, "jacobi_check", failing_at_minus_three)
+    got = _classify_jacobi(heis1, -3, 6)
+    failed = sorted(n for n, status in got.items() if status == "fail")
+    assert failed == [f"classify.{u}.c=-3.jacobi"
+                      for u in ("pi:1", "sym2", "trivial")]
+    assert len(got) == 3 * 10
+    # a failure among the three points sends every c to its own check
+    assert sorted(seen) == sorted(list(range(-3, 7)) * 3)
+    # a window of two values is checked per c, and both are recorded
+    seen.clear()
+    got = _classify_jacobi(heis1, 0, 1)
+    assert sorted(got) == sorted(f"classify.{u}.c={c}.jacobi"
+                                 for u in ("trivial", "pi:1", "sym2")
+                                 for c in (0, 1))
+    assert set(got.values()) == {"pass"}
+    assert sorted(seen) == [0, 0, 0, 1, 1, 1]
+
+
+def test_siblings_match_fresh_specs(heis1, heis2):
+    # base.at(c) shares every c-free part with base and builds singular
+    # columns as m0 + c m1; it must agree with a spec built at c directly
+    cs = (-1, 0, 1, 2, Fraction(7, 3))
+    for data in (heis1, heis2):
+        zero = ev.unit_index(data.dim)
+        eps = [tuple(ev.eps(data.dim, k)) for k in range(data.dim)]
+        for twist_name in ("trivial", "nilpotent2"):
+            twist = cli.builtin_twist(data, twist_name)
+            for u in ["trivial"] + [str(n) for n in range(1, data.N + 1)] + [
+                    "sym2"]:
+                base = make_spec(data, u, 5, twist)
+                for c in cs:
+                    sib = base.at(c)
+                    fresh = make_spec(data, u, c, twist)
+                    assert sib.c == c and base.c == 5
+                    assert sib.carrier() is base.carrier()
+                    where = (data.dim, twist_name, u, c)
+                    assert pa.singular_space(sib) == \
+                        pa.singular_space(fresh), where
+                    for r in range(fresh.dim_r):
+                        for v in ({(zero, r): ONE},
+                                  {(eps[0], r): ONE, (eps[1], r): -ONE}):
+                            assert pa.e_star_raw(sib, v) == \
+                                pa.e_star_raw(fresh, v), where
 
 
 def test_tau_identity(algebras, nonuni):
