@@ -8,10 +8,9 @@ of index tuples, with no factorials anywhere.
 
 The module also builds the contact reduction with constant coefficients:
 the subspaces I^n (wedge multiples of theta and omega), the joint kernels
-K^n, their barred analogues on ker theta, and the constant Rumin complex
-0 -> W^0/I^0 -> ... -> W^N/I^N -> K^{N+1} -> ... -> K^{2N+1} whose middle
-map is built by the same completion algorithm as the pseudoform Rumin map,
-specialized to the constant differential.
+K^n, their barred analogues on ker theta, and the theta/omega system that
+the completion of the Rumin map solves.  The contact complex itself, with
+free and with constant coefficients, is built in `pseudoforms`.
 """
 
 import itertools
@@ -133,11 +132,7 @@ def wedge(a, b):
                 if perm[p] > perm[q]
             )
             sign = -ONE if inv % 2 else ONE
-            w = out.get(merged, ZERO) + sign * va * vb
-            if w:
-                out[merged] = w
-            else:
-                out.pop(merged, None)
+            linalg.vec_put(out, merged, sign * va * vb)
     return form(n + b.degree, out)
 
 
@@ -346,49 +341,7 @@ def lemma_composition_is_iso(data, m):
 
 
 # ---------------------------------------------------------------------------
-# the constant Rumin complex
-
-
-@dataclass
-class ConstantRuminComplex:
-    data: object
-    terms: list  # (kind, n, basis) with kind in {"Q", "K"}
-    maps: list  # maps[i]: list of columns, each an output coordinate dict
-
-    def dims(self):
-        return [len(basis) for _, _, basis in self.terms]
-
-    def cohomology_dims(self):
-        out = []
-        for i in range(len(self.terms)):
-            dim_i = len(self.terms[i][2])
-            if i < len(self.maps):
-                sys = LinearSystem()
-                for j, col in enumerate(self.maps[i]):
-                    sys.add_column(j, col)
-                kdim = dim_i - sys.image_rank()
-            else:
-                kdim = dim_i
-            if i > 0:
-                prev = LinearSystem()
-                for j, col in enumerate(self.maps[i - 1]):
-                    prev.add_column(j, col)
-                rk = prev.image_rank()
-            else:
-                rk = 0
-            out.append(kdim - rk)
-        return out
-
-    def compositions_vanish(self):
-        for i in range(len(self.maps) - 1):
-            nxt = self.maps[i + 1]
-            for col in self.maps[i]:
-                acc = {}
-                for j, c in col.items():
-                    linalg.vec_iadd(acc, nxt[j], c)
-                if acc:
-                    return False
-        return True
+# the completion system of the Rumin map
 
 
 def theta_omega_solver(data, n, reverse=False):
@@ -423,64 +376,6 @@ def solve_theta_omega(data, n, target, reverse=False):
     beta = form(n - 1, {k: v for (kind, k), v in sol.items() if kind == "th"})
     gamma = form(n - 2, {k: v for (kind, k), v in sol.items() if kind == "om"})
     return beta, gamma
-
-
-def rumin_constant_map(data, a, reverse=False):
-    """The second-order middle map on a degree-N form: complete a so that
-    its differential lands in K^{N+1}, then differentiate."""
-    nn = data.N
-    assert a.degree == nn
-    da = d0(data, a)
-    _beta, gamma = solve_theta_omega(data, nn + 1, da, reverse=reverse)
-    return d0(data, a - theta_mul(data, gamma))
-
-
-def rumin_constant(data):
-    """The full constant-coefficient contact complex with explicit maps."""
-    nn = data.N
-    terms = []
-    for n in range(nn + 1):
-        ech = compute_I(data, n)
-        terms.append(("Q", n, standard_keys(data, n, ech)))
-    for n in range(nn + 1, 2 * nn + 2):
-        terms.append(("K", n, compute_K(data, n)))
-
-    i_echs = {n: compute_I(data, n) for n in range(nn + 2)}
-    k_systems = {}
-    for kind, n, basis in terms:
-        if kind == "K":
-            sys = LinearSystem()
-            for j, f in enumerate(basis):
-                sys.add_column(j, f.as_dict())
-            k_systems[n] = sys
-
-    def q_coords(n, f):
-        red = i_echs[n].reduce(f.as_dict())
-        keys = terms[n][2]
-        return {keys.index(k): v for k, v in red.items()}
-
-    def k_coords(n, f):
-        sol = k_systems[n].solve(f.as_dict())
-        if sol is None:
-            raise ValueError("image does not lie in the kernel space")
-        return sol
-
-    maps = []
-    for i in range(len(terms) - 1):
-        kind, n, basis = terms[i]
-        nkind, nn_, _ = terms[i + 1]
-        cols = []
-        for b in basis:
-            f = form(n, {b: ONE}) if kind == "Q" else b
-            if kind == "Q" and nkind == "Q":
-                img = d0(data, f)
-                cols.append(q_coords(nn_, img))
-            elif kind == "Q" and nkind == "K":
-                cols.append(k_coords(nn_, rumin_constant_map(data, f)))
-            else:
-                cols.append(k_coords(nn_, d0(data, f)))
-        maps.append(cols)
-    return ConstantRuminComplex(data, terms, maps)
 
 
 def ce_cohomology_dims(data):

@@ -27,6 +27,15 @@ def vec_scale(u, c):
     return {k: c * v for k, v in u.items()}
 
 
+def vec_put(acc, key, c):
+    """acc[key] += c in place, pruning a zero."""
+    w = acc.get(key, ZERO) + c
+    if w:
+        acc[key] = w
+    else:
+        acc.pop(key, None)
+
+
 def vec_iadd(acc, u, c=ONE):
     """acc += c*u in place, pruning zeros."""
     if c == 0:

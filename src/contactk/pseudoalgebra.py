@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import enveloping as env_mod
 from . import linalg, pseudoforms, sp_rep
 from .enveloping import contact_degree, get_env
-from .linalg import LinearSystem
+from .linalg import LinearSystem, vec_put
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -238,7 +238,7 @@ def _put_central(out, dim, v, scl):
     eps0 = tuple(env_mod.eps(dim, 0))
     zero = env_mod.unit_index(dim)
     for (J, r), coeff in v.items():
-        _put_tensor(out, (eps0, J, (zero, r)), coeff * scl)
+        vec_put(out, (eps0, J, (zero, r)), coeff * scl)
     return out
 
 
@@ -266,20 +266,12 @@ class NormalizedAction:
     terms: dict  # multi-index -> TensorElement
 
 
-def _put_tensor(acc, key, c):
-    w = acc.get(key, ZERO) + c
-    if w:
-        acc[key] = w
-    else:
-        acc.pop(key, None)
-
-
 def to_left_normal(env, raw):
     """(f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v."""
     out = {}
     for (F, G, (J, r)), c in raw.items():
         for (Fk, Jk), x in env.left_image(F, G, J):
-            _put_tensor(out.setdefault(Fk, {}), (Jk, r), c * x)
+            vec_put(out.setdefault(Fk, {}), (Jk, r), c * x)
     return NormalizedAction("left", {F: t for F, t in out.items() if t})
 
 
@@ -288,7 +280,7 @@ def to_right_normal(env, raw):
     out = {}
     for (F, G, (J, r)), c in raw.items():
         for (Gk, Jk), x in env.right_image(F, G, J):
-            _put_tensor(out.setdefault(Gk, {}), (Jk, r), c * x)
+            vec_put(out.setdefault(Gk, {}), (Jk, r), c * x)
     return NormalizedAction("right", {G: t for G, t in out.items() if t})
 
 
@@ -379,7 +371,7 @@ def singular_space(spec, cutoff=None):
             col = dict(m0)
             if c:
                 for key, x in m1.items():
-                    _put_tensor(col, key, c * x)
+                    vec_put(col, key, c * x)
             sys.add_column(label, col)
     basis = [tensor_element(combo) for combo in sys.kernel()]
     return basis, cutoff
@@ -484,7 +476,7 @@ def fourier_act(spec, x, v):
         pairing = env.dual_pair(x, env.antipode_basis(F))
         if pairing:
             for key, c in t.items():
-                _put_tensor(out, key, pairing * c)
+                vec_put(out, key, pairing * c)
     return out
 
 
@@ -497,7 +489,7 @@ def rho_sing_iprime(spec, v):
     acc = {}
     x0 = env_mod.dual_covector(dim, 0, t)
     for key, c in fourier_act(spec, x0, v).items():
-        _put_tensor(acc, key, 2 * c)
+        vec_put(acc, key, 2 * c)
     for i in range(1, dim):
         for j in range(i + 1, dim):
             w = data.omega[i][j]
@@ -507,7 +499,7 @@ def rho_sing_iprime(spec, v):
                 dim, env_mod.add_index(tuple(env_mod.eps(dim, i)),
                                        tuple(env_mod.eps(dim, j))), t)
             for key, c in fourier_act(spec, xij, v).items():
-                _put_tensor(acc, key, w * c)
+                vec_put(acc, key, w * c)
     return {k: -c for k, c in acc.items()}
 
 
@@ -547,7 +539,7 @@ def psi_map(spec, u_vec):
             for K, ck in prod.items():
                 for r, x in enumerate(fu):
                     if x:
-                        _put_tensor(out, (K, r), ck * x)
+                        vec_put(out, (K, r), ck * x)
     return out
 
 
@@ -673,10 +665,10 @@ def jacobi_check(spec, v=None):
         for F2, t in inner.terms.items():
             acc = rhs.setdefault((F2, F), {})
             for vk, c in t.items():
-                _put_tensor(acc, vk, c)
+                vec_put(acc, vk, c)
             acc = rhs.setdefault((F, F2), {})
             for vk, c in t.items():
-                _put_tensor(acc, vk, -c)
+                vec_put(acc, vk, -c)
 
     lhs = {}
     g = bracket_element(data)
@@ -690,7 +682,7 @@ def jacobi_check(spec, v=None):
                     for B, cb in b.items():
                         acc = lhs.setdefault((A, B), {})
                         for vk, c in w.items():
-                            _put_tensor(acc, vk, cg * cf * ca * cb * c)
+                            vec_put(acc, vk, cg * cf * ca * cb * c)
 
     lhs = {k: t for k, t in lhs.items() if t}
     rhs = {k: t for k, t in rhs.items() if t}

@@ -19,8 +19,10 @@ The module also realizes the members of the contact reduction
   0 -> W^0/I^0 (d) -> ... -> W^N/I^N (d) -> K^{N+1}(d) -> ... -> K^{2N+1}(d)
 as free modules over concrete carriers (standard monomials for the
 quotients, primitive kernels for the K's), extracts the differentials as
-matrices over H, builds the second-order Rumin map by completion, twists
-everything by a finite-dimensional module, and samples exactness.
+matrices over H, builds the second-order Rumin map by completion, reads
+the constant-coefficient complex off those matrices as their counit,
+twists everything by a finite-dimensional module, and checks exactness
+exactly on a window of coefficient degrees.
 """
 
 import math
@@ -30,7 +32,7 @@ from fractions import Fraction
 from . import enveloping as env_mod
 from . import exterior, linalg
 from .exterior import form, insert_index, monomials
-from .linalg import LinearSystem
+from .linalg import LinearSystem, vec_iadd, vec_put
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,7 +59,7 @@ class PseudoForm:
     def __add__(self, other):
         assert self.degree == other.degree
         d = self.as_dict()
-        linalg.vec_iadd(d, other.as_dict())
+        vec_iadd(d, other.as_dict())
         return pform(self.degree, d)
 
     def __sub__(self, other):
@@ -102,14 +104,8 @@ def h_mul_pf(env, h, a):
     """Left multiplication of the coefficient slot."""
     out = {}
     for (I, S), c in a.items():
-        prod = env.mul(h, {I: ONE})
-        for K, ck in prod.items():
-            key = (K, S)
-            w = out.get(key, ZERO) + c * ck
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+        for K, ck in env.mul(h, {I: ONE}).items():
+            vec_put(out, (K, S), c * ck)
     return pform(a.degree, out)
 
 
@@ -121,15 +117,6 @@ def pseudo_d(env, a):
     for (I, S), c in a.items():
         by_s.setdefault(S, {})[I] = c
     out = {}
-
-    def put(I, S, c):
-        key = (I, S)
-        w = out.get(key, ZERO) + c
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-
     # bracket terms, gathered over output monomials
     for T in monomials(data.dim, n + 1):
         for p in range(n + 1):
@@ -145,7 +132,7 @@ def pseudo_d(env, a):
                     if not hd:
                         continue
                     for I, c in hd.items():
-                        put(I, T, sgn_pq * cv * s * c)
+                        vec_put(out, (I, T), sgn_pq * cv * s * c)
 
     # right-multiplication terms, scattered from the input
     for S, hd in by_s.items():
@@ -159,7 +146,7 @@ def pseudo_d(env, a):
             for I, c in hd.items():
                 prod = env.mul({I: ONE}, gen)
                 for K, ck in prod.items():
-                    put(K, T, sign * c * ck)
+                    vec_put(out, (K, T), sign * c * ck)
     return pform(n + 1, out)
 
 
@@ -170,12 +157,7 @@ def d0_h(env, a):
     for I in pf_h_support(a):
         comp = exterior.d0(data, pf_component(a, I))
         for S, c in comp.items():
-            key = (I, S)
-            w = out.get(key, ZERO) + c
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+            vec_put(out, (I, S), c)
     return pform(a.degree + 1, out)
 
 
@@ -201,12 +183,7 @@ def wedge_pseudo(env, a, b):
             prod = env.mono_mul(I, J)
             for U, cu in merged.items():
                 for K, ck in prod.items():
-                    key = (K, U)
-                    w = out.get(key, ZERO) + c * e * cu * ck
-                    if w:
-                        out[key] = w
-                    else:
-                        out.pop(key, None)
+                    vec_put(out, (K, U), c * e * cu * ck)
     return pform(a.degree + b.degree, out)
 
 
@@ -219,12 +196,7 @@ def wedge_const(env, a_const, b):
                 form(a_const.degree, {T: ONE}), form(b.degree, {S: ONE})
             )
             for U, cu in merged.items():
-                key = (I, U)
-                w = out.get(key, ZERO) + c * ct * cu
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                vec_put(out, (I, U), c * ct * cu)
     return pform(a_const.degree + b.degree, out)
 
 
@@ -462,15 +434,59 @@ def contact_complex_hmats(env, members):
             else:
                 img = pseudo_d(env, pf)
             for (I, t_idx), c in tgt.element_coords(img).items():
-                key = (s_idx, t_idx)
-                acc = hmat.setdefault(key, {})
-                w = acc.get(I, ZERO) + c
-                if w:
-                    acc[I] = w
-                else:
-                    acc.pop(I, None)
+                vec_put(hmat.setdefault((s_idx, t_idx), {}), I, c)
         maps.append({k: v for k, v in hmat.items() if v})
     return maps
+
+
+@dataclass
+class ConstantRuminComplex:
+    """The constant contact complex: the member dimensions and the maps,
+    maps[i] a list of columns, column s a dict {t: coefficient}."""
+
+    dims: list
+    maps: list
+
+    def cohomology_dims(self):
+        ranks = []
+        for cols in self.maps:
+            sys = LinearSystem()
+            for s_idx, col in enumerate(cols):
+                sys.add_column(s_idx, col)
+            ranks.append(sys.image_rank())
+        return [dim - out - inc for dim, inc, out
+                in zip(self.dims, [0] + ranks, ranks + [0])]
+
+    def compositions_vanish(self):
+        for cols, nxt in zip(self.maps, self.maps[1:]):
+            for col in cols:
+                acc = {}
+                for t_idx, c in col.items():
+                    vec_iadd(acc, nxt[t_idx], c)
+                if acc:
+                    return False
+        return True
+
+
+def constant_complex(members, hmats):
+    """The constant-coefficient contact complex as the counit of the
+    H-matrix complex: column s of map i holds the coefficient of e^(0) in
+    each entry hmats[i][(s, t)].
+
+    The counit is an algebra map that kills eps, which has H-degree one,
+    so by (d - d0) alpha = -(-1)^n alpha ^ eps it takes d to d0; the
+    completion of `rumin_map` solves the constant theta/omega system
+    coefficient by coefficient, so its e^(0) part is the constant
+    completion of d0."""
+    zero = env_mod.unit_index(members[0].data.dim)
+    maps = []
+    for src, hmat in zip(members, hmats):
+        cols = [{} for _ in range(src.dim)]
+        for (s_idx, t_idx), h in hmat.items():
+            if h.get(zero):
+                cols[s_idx][t_idx] = h[zero]
+        maps.append(cols)
+    return ConstantRuminComplex([m.dim for m in members], maps)
 
 
 def apply_hmat(env, hmat, vec):
@@ -481,14 +497,8 @@ def apply_hmat(env, hmat, vec):
         for (s_idx, t_idx), h in hmat.items():
             if s_idx != idx:
                 continue
-            prod = env.mul({I: c}, h)
-            for K, ck in prod.items():
-                key = (K, t_idx)
-                w = out.get(key, ZERO) + ck
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+            for K, ck in env.mul({I: c}, h).items():
+                vec_put(out, (K, t_idx), ck)
     return out
 
 
@@ -523,17 +533,12 @@ def twist_hmat(env, twist, hmat, src_dim, tgt_dim):
                     if not smat[b][a]:
                         continue
                     key = (a * src_dim + i, b * tgt_dim + j)
-                    acc = out.setdefault(key, {})
-                    w = acc.get(J, ZERO) + c * smat[b][a]
-                    if w:
-                        acc[J] = w
-                    else:
-                        acc.pop(J, None)
+                    vec_put(out.setdefault(key, {}), J, c * smat[b][a])
     return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
-# exactness sampling
+# exactness on a window
 
 
 def _window_basis(dim, carrier_dim, max_plain):
@@ -544,12 +549,16 @@ def _window_basis(dim, carrier_dim, max_plain):
     return out
 
 
-def sample_exactness(env, members, hmats, term, trials, degree_bound, rng):
-    """Sample exactness at an interior term: draw random cocycles with
-    coefficient degree <= degree_bound - 2, solve for preimages of
-    coefficient degree <= degree_bound, and verify them exactly.
+def sample_exactness(env, members, hmats, term, degree_bound):
+    """Check exactness at an interior term on the whole window: every
+    cocycle with coefficient degree <= degree_bound - 2 has a preimage
+    with coefficient degree <= degree_bound.
 
-    Returns a report dict; all trials must succeed.
+    The check is exact, not sampled: each basis vector of the cocycle
+    kernel in the window is solved for in the span of the incoming images,
+    and the preimage is verified with `apply_hmat`.  Returns a report
+    dict whose `failures` name the kernel vectors without a preimage; the
+    term is exact in the window when that list is empty.
     """
     assert 1 <= term <= len(members) - 2
     data = env.data
@@ -558,48 +567,27 @@ def sample_exactness(env, members, hmats, term, trials, degree_bound, rng):
 
     cocycle_sys = LinearSystem()
     for key in _window_basis(data.dim, members[term].dim, degree_bound - 2):
-        I, idx = key
-        img = apply_hmat(env, outgoing, {key: ONE})
-        cocycle_sys.add_column(key, img)
+        cocycle_sys.add_column(key, apply_hmat(env, outgoing, {key: ONE}))
     kernel = cocycle_sys.kernel()
 
     preimage_sys = LinearSystem()
     for key in _window_basis(data.dim, members[term - 1].dim, degree_bound):
-        img = apply_hmat(env, incoming, {key: ONE})
-        preimage_sys.add_column(key, img)
+        preimage_sys.add_column(key, apply_hmat(env, incoming, {key: ONE}))
 
-    successes = 0
     failures = []
-    for t in range(trials):
-        if not kernel:
-            successes += 1
-            continue
-        vec = {}
-        for combo in kernel:
-            c = Fraction(rng.randint(-3, 3))
-            if c:
-                for key, v in combo.items():
-                    w = vec.get(key, ZERO) + c * v
-                    if w:
-                        vec[key] = w
-                    else:
-                        del vec[key]
+    for k, vec in enumerate(kernel):
         sol = preimage_sys.solve(vec)
         if sol is None:
-            failures.append({"trial": t, "cocycle_support": len(vec)})
-            continue
-        check = apply_hmat(env, incoming, {k: c for k, c in sol.items() if c})
-        if check == vec:
-            successes += 1
-        else:  # pragma: no cover - solve already verified membership
-            failures.append({"trial": t, "reason": "verification mismatch"})
+            failures.append({"kernel_vector": k, "cocycle": vec})
+        elif apply_hmat(env, incoming, sol) != vec:  # pragma: no cover
+            # solve already verified membership
+            failures.append({"kernel_vector": k,
+                             "reason": "verification mismatch"})
     return {
         "term": term,
         "kind": members[term].kind,
         "degree": members[term].degree,
         "kernel_dim_in_window": len(kernel),
-        "trials": trials,
-        "successes": successes,
         "failures": failures,
     }
 
@@ -619,15 +607,6 @@ def w_star_direct(env, f_dict, a_vec, pf):
     for (I, S), c in pf.items():
         by_s.setdefault(S, {})[I] = c
     out = {}
-
-    def put(F, G, T, c):
-        key = (F, G, T)
-        w = out.get(key, ZERO) + c
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-
     a_elt = env_mod.from_vector(a_vec)
     for T in monomials(data.dim, n):
         # -(f (x) g a) alpha(T)
@@ -637,7 +616,7 @@ def w_star_direct(env, f_dict, a_vec, pf):
                 ga = env.mul({I: ONE}, a_elt)
                 for F, cf in f_dict.items():
                     for K, ck in ga.items():
-                        put(F, K, T, -c * cf * ck)
+                        vec_put(out, (F, K, T), -c * cf * ck)
         for p in range(n):
             rest = tuple(x for t, x in enumerate(T) if t != p)
             sgn = -ONE if (p + 1) % 2 else ONE
@@ -655,7 +634,7 @@ def w_star_direct(env, f_dict, a_vec, pf):
                 fap = env.mul(f_dict, env_mod.generator(data.dim, T[p]))
                 for I, c in hd.items():
                     for F, cf in fap.items():
-                        put(F, I, T, sgn * a_vec[m] * s * c * cf)
+                        vec_put(out, (F, I, T), sgn * a_vec[m] * s * c * cf)
             # (f (x) g) alpha([a, a_p] ^ rest)
             br = data.bracket_vec(a_vec, data.basis_vector(T[p]))
             for m in range(data.dim):
@@ -670,7 +649,7 @@ def w_star_direct(env, f_dict, a_vec, pf):
                     continue
                 for I, c in hd.items():
                     for F, cf in f_dict.items():
-                        put(F, I, T, sgn * br[m] * s * c * cf)
+                        vec_put(out, (F, I, T), sgn * br[m] * s * c * cf)
     return out
 
 
@@ -684,33 +663,16 @@ def e_star_direct(env, pf):
         for (I, _S), c in pf.items():
             prod = env.mul({I: ONE}, env_mod.generator(data.dim, 0))
             for K, ck in prod.items():
-                key = ((0,) * data.dim, K, ())
-                w = out.get(key, ZERO) - c * ck
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                vec_put(out, ((0,) * data.dim, K, ()), -c * ck)
         for i in range(1, data.dim):
             gen_i = env_mod.eps(data.dim, i)
             di = env_mod.from_vector(data.dual_vector(i))
             for (I, _S), c in pf.items():
-                prod = env.mul({I: ONE}, di)
-                for K, ck in prod.items():
-                    key = (tuple(gen_i), K, ())
-                    w = out.get(key, ZERO) + c * ck
-                    if w:
-                        out[key] = w
-                    else:
-                        out.pop(key, None)
+                for K, ck in env.mul({I: ONE}, di).items():
+                    vec_put(out, (tuple(gen_i), K, ()), c * ck)
         return out
     out = w_star_direct(env, env_mod.unit(data.dim), data.basis_vector(0), pf)
     for i in range(1, data.dim):
         gi = env_mod.generator(data.dim, i)
-        term = w_star_direct(env, gi, data.dual_vector(i), pf)
-        for key, c in term.items():
-            w = out.get(key, ZERO) - c
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+        vec_iadd(out, w_star_direct(env, gi, data.dual_vector(i), pf), -ONE)
     return out

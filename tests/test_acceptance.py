@@ -270,8 +270,8 @@ def _rumin_criterion(name, budget, number_note):
     for i in range(len(hmats) - 1):
         ok &= pfm.hmat_is_zero(pfm.compose_hmats(env, hmats[i], hmats[i + 1]))
     for term in range(1, len(members) - 1):
-        rep = pfm.sample_exactness(env, members, hmats, term, 50, 4, rng)
-        ok &= rep["successes"] == rep["trials"]
+        rep = pfm.sample_exactness(env, members, hmats, term, 4)
+        ok &= not rep["failures"]
     _verdict(5, f"pseudo de Rham and completion map ({number_note})",
              ok, time.time() - t0, budget)
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from contactk import contact_lie as cl
 from contactk import exterior as ex
+from contactk import pseudoforms as pfm
+from contactk.enveloping import get_env
 
 ONE = Fraction(1)
 
@@ -171,34 +173,45 @@ def test_kernel_quotient_iso(algebras):
             assert ex.lemma_composition_is_iso(data, m)
 
 
-def test_rumin_constant_complex(algebras):
+def test_rumin_constant_complex(algebras, nonuni):
     want = {
         "sl2": [1, 0, 0, 1],
         "heis1": [1, 2, 2, 1],
         "heis2": [1, 4, 5, 5, 4, 1],
+        "nonuni": [1, 2, 1, 0],
     }
-    for name, data in algebras.items():
-        cx = ex.rumin_constant(data)
+    for name, data in dict(algebras, nonuni=nonuni).items():
+        members = pfm.contact_complex_members(data)
+        hmats = pfm.contact_complex_hmats(get_env(data), members)
+        cx = pfm.constant_complex(members, hmats)
+        assert cx.dims == [m.dim for m in members]
         assert cx.compositions_vanish()
         assert cx.cohomology_dims() == ex.ce_cohomology_dims(data)
         assert cx.cohomology_dims() == want[name]
 
 
-def test_rumin_constant_kills_theta_multiples(sl2):
-    # classes of theta-multiples vanish in the quotient, so their image
-    # under the completion map is zero
-    th = ex.theta_form(sl2)
-    for key in ex.monomials(3, 0):
-        f = ex.wedge(th, ex.form(0, {key: 1}))
-        assert ex.rumin_constant_map(sl2, f).is_zero()
-
-
-def test_rumin_constant_map_pivot_independent(heis2):
-    rng = random.Random(9)
-    for _ in range(10):
-        a = rand_form(rng, 5, 2, terms=3)
-        assert ex.rumin_constant_map(heis2, a).as_dict() == \
-            ex.rumin_constant_map(heis2, a, reverse=True).as_dict()
+def test_constant_complex_is_d0_and_its_completion(algebras, nonuni):
+    # Map i of the constant complex is d0 read in the carrier coordinates
+    # of its target; the middle map first completes f to f - theta ^ gamma,
+    # where d0(f) = theta ^ beta + omega ^ gamma.  With theta = x^0 + 2 x^1
+    # the middle map of sl2 is not symmetric, so a transposed reading shows.
+    tilted = cl.build_contact_data(
+        3, {(0, 1, 2): 1, (0, 2, 0): -2, (1, 2, 1): 2}, (1, 2, 0)
+    )
+    for data in [*algebras.values(), nonuni, tilted]:
+        members = pfm.contact_complex_members(data)
+        hmats = pfm.contact_complex_hmats(get_env(data), members)
+        cx = pfm.constant_complex(members, hmats)
+        for i, cols in enumerate(cx.maps):
+            want = []
+            for f in members[i].basis:
+                if i == data.N:
+                    _beta, gamma = ex.solve_theta_omega(
+                        data, data.N + 1, ex.d0(data, f)
+                    )
+                    f = f - ex.theta_mul(data, gamma)
+                want.append(members[i + 1].form_coords(ex.d0(data, f)))
+            assert cols == want
 
 
 def test_column_algebra_lemma(small_algebras):

@@ -1,10 +1,11 @@
 """Byte-for-byte locks on canonical JSON reports.
 
 Each file under data/golden is the `--format json` report of the command
-listed for it below, at the default seed.  The test reruns the command
-and compares bytes, so any change to a coefficient, a check name or the
-order of a basis shows up here.  Rewrite a golden file only together with
-a change that says why its report changes.
+listed for it below, at the default seed, run from the repository root.
+The test reruns the command and compares bytes, so any change to a
+coefficient, a check name or the order of a basis shows up here.  Rewrite
+a golden file only together with a change that says why its report
+changes.
 """
 
 import os
@@ -13,7 +14,8 @@ import pytest
 
 from contactk import cli
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
 
 CASES = {
     "singular_heis2_pi1_c1_nilpotent2": [
@@ -35,6 +37,13 @@ CASES = {
     ],
     "rumin_heis1": ["rumin", "--algebra", "heisenberg:1"],
     "verify_core_heis1": ["verify-core", "--algebra", "heisenberg:1"],
+    "verify_core_heis2_exterior": [
+        "verify-core", "--algebra", "heisenberg:2", "--suite", "exterior",
+    ],
+    "verify_core_nonuni_exterior": [
+        "verify-core", "--algebra", "tests/data/nonuni.json",
+        "--suite", "exterior",
+    ],
     "annihilation_sl2_t4": [
         "annihilation", "--algebra", "sl2", "--truncation", "4",
     ],
@@ -42,7 +51,9 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, tmp_path):
+def test_report_matches_golden(name, tmp_path, monkeypatch):
+    # The report echoes a file datum's path, so run from the repo root.
+    monkeypatch.chdir(ROOT)
     out = tmp_path / "report.json"
     code = cli.main(CASES[name] + ["--format", "json", "--out", str(out)])
     assert code == 0

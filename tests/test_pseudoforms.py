@@ -132,11 +132,15 @@ def test_exactness_sampling(heis1):
     env = get_env(heis1)
     members = pfm.contact_complex_members(heis1)
     hmats = pfm.contact_complex_hmats(env, members)
-    rng = random.Random(42)
     for term in (1, 2):
-        rep = pfm.sample_exactness(env, members, hmats, term, 12, 4, rng)
-        assert rep["successes"] == rep["trials"], rep
+        rep = pfm.sample_exactness(env, members, hmats, term, 4)
+        assert rep["failures"] == [], rep
         assert rep["kernel_dim_in_window"] > 0
+    # with the incoming map zeroed no cocycle has a preimage, and each
+    # kernel vector is named
+    rep = pfm.sample_exactness(env, members, [{}] + hmats[1:], 1, 4)
+    assert [f["kernel_vector"] for f in rep["failures"]] == list(
+        range(rep["kernel_dim_in_window"]))
 
 
 def test_twist_validates_brackets(heis1):
