@@ -235,13 +235,6 @@ def w0_class_to_gl(data, w):
     return tuple(tuple(row) for row in mat)
 
 
-def _elem(dim, i, j):
-    return tuple(
-        tuple(ONE if (r == i and c == j) else ZERO for c in range(dim))
-        for r in range(dim)
-    )
-
-
 def w0_quotient_iso_check(env, truncation=4):
     """The induced bracket on W_0/W_1 matches gl(d), and its adjoint
     action on W/W_0 matches the defining action on d.  Returns (ok,
@@ -258,8 +251,8 @@ def w0_quotient_iso_check(env, truncation=4):
                     br = w_bracket(env, u, v)
                     got = w0_class_to_gl(data, br)
                     want = linalg.commutator(
-                        linalg.mat_scale(_elem(dim, a, m), -ONE),
-                        linalg.mat_scale(_elem(dim, b, n), -ONE),
+                        linalg.mat_scale(linalg.elementary(dim, a, m), -ONE),
+                        linalg.mat_scale(linalg.elementary(dim, b, n), -ONE),
                     )
                     if got != want:
                         return False, {"a": a, "m": m, "b": b, "n": n,
@@ -273,7 +266,7 @@ def w0_quotient_iso_check(env, truncation=4):
                     if plain_degree(I) == 0:
                         const[j] = const.get(j, ZERO) + c
                 want_vec = linalg.mat_vec(
-                    linalg.mat_scale(_elem(dim, a, m), -ONE),
+                    linalg.mat_scale(linalg.elementary(dim, a, m), -ONE),
                     data.basis_vector(k),
                 )
                 want = {j: c for j, c in enumerate(want_vec) if c}

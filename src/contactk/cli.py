@@ -108,7 +108,11 @@ def builtin_u(data, gens, name):
     if name == "sym2":
         return sp_rep.sym_square_rep(data, gens), ("sym2", 0)
     if name.startswith("pi:"):
-        n = int(name.split(":", 1)[1])
+        digits = name[3:]
+        if not (digits.isdecimal() and int(digits) <= data.N):
+            raise BadConfig(f"symplectic factor {name!r}: want pi:n with "
+                            f"0 <= n <= {data.N}")
+        n = int(digits)
         return sp_rep.fundamental_rep(data, gens, n), ("fundamental", n)
     raise BadConfig(f"unknown symplectic factor {name!r}")
 
@@ -613,7 +617,7 @@ def suite_enveloping(suite, data, rng):
     )
 
 
-def suite_sp(suite, data, rng):
+def suite_sp(suite, data):
     dim = data.dim
     gens = sp_rep.sp_gens_for(data)
     sys_ = linalg.LinearSystem()
@@ -1270,6 +1274,42 @@ def run_singular(suite, data, twist, u_name, c):
 # command-line plumbing
 
 
+# Every command takes --algebra, --out and --format; COMMANDS names the
+# other options each one reads.  The parser, the objects `run_command`
+# builds and the report's `config` echo all follow this table.
+OPTIONS = {
+    "--seed": {"type": int, "default": 2024},
+    "--suite": {"default": "contact,exterior,enveloping,sp",
+                "help": "comma-separated subset of contact, exterior, "
+                "enveloping, sp"},
+    "--degree-bound": {"type": int, "default": 4},
+    "--trials": {"type": int, "default": 50},
+    "--pi": {"default": "trivial",
+             "help": "twisting module: trivial, tr-ad, nilpotent2"},
+    "--u": {"default": "trivial",
+            "help": "symplectic factor: trivial, pi:N, sym2"},
+    "--c": {"default": "0", "help": "central scalar (rational)"},
+    "--c-min": {"type": int, "default": -3},
+    "--c-max": {"type": int, "default": None},
+    "--audit-cutoff": {"type": int, "default": None,
+                       "help": "optional higher degree cutoff for auditing"},
+    "--truncation": {"type": int, "default": 4},
+}
+
+COMMANDS = {
+    "verify-core": ("contact, exterior, enveloping and symplectic suites",
+                    ("--seed", "--suite")),
+    "rumin": ("pseudoform differential, completion map, exactness and "
+              "twisting suites",
+              ("--seed", "--degree-bound", "--trials", "--pi")),
+    "singular": ("print a singular-vector basis", ("--pi", "--u", "--c")),
+    "classify": ("reducibility scan against the classification rule",
+                 ("--pi", "--c-min", "--c-max", "--audit-cutoff")),
+    "annihilation": ("annihilation algebra suites",
+                     ("--seed", "--truncation")),
+}
+
+
 def make_parser():
     ap = argparse.ArgumentParser(
         prog="contactk",
@@ -1277,63 +1317,31 @@ def make_parser():
         "machinery",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (summary, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--algebra", default="heisenberg:1",
                        help="sl2, heisenberg:N, or a path to a JSON datum")
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--degree-bound", type=int, default=4)
-        p.add_argument("--truncation", type=int, default=4)
-        p.add_argument("--trials", type=int, default=50)
-        p.add_argument("--pi", default="trivial",
-                       help="twisting module: trivial, tr-ad, nilpotent2")
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("table", "json"),
                        default="table")
-
-    p = sub.add_parser("verify-core", help="contact, exterior, enveloping "
-                       "and symplectic suites")
-    common(p)
-    p.add_argument("--suite", default="contact,exterior,enveloping,sp",
-                   help="comma-separated subset of contact, exterior, "
-                   "enveloping, sp")
-
-    p = sub.add_parser("rumin", help="pseudoform differential, completion "
-                       "map, exactness and twisting suites")
-    common(p)
-
-    p = sub.add_parser("singular", help="print a singular-vector basis")
-    common(p)
-    p.add_argument("--u", default="trivial",
-                   help="symplectic factor: trivial, pi:N, sym2")
-    p.add_argument("--c", default="0", help="central scalar (rational)")
-
-    p = sub.add_parser("classify", help="reducibility scan against the "
-                       "classification rule")
-    common(p)
-    p.add_argument("--c-min", type=int, default=-3)
-    p.add_argument("--c-max", type=int, default=None)
-    p.add_argument("--audit-cutoff", type=int, default=None,
-                   help="optional higher degree cutoff for auditing")
-
-    p = sub.add_parser("annihilation", help="annihilation algebra suites")
-    common(p)
     return ap
 
 
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
 def run_command(args):
-    data = contact_lie.resolve_algebra(args.algebra)
-    rng = random.Random(args.seed)
+    flags = COMMANDS[args.command][1]
+    try:
+        data = contact_lie.resolve_algebra(args.algebra)
+    except (ValueError, OSError) as exc:
+        raise BadConfig(f"--algebra {args.algebra}: {exc}") from None
+    rng = random.Random(args.seed) if "--seed" in flags else None
+    twist = builtin_twist(data, args.pi) if "--pi" in flags else None
     suite = report_mod.Suite()
-    twist = builtin_twist(data, args.pi)
-    config = {
-        "algebra": args.algebra,
-        "seed": args.seed,
-        "degree_bound": args.degree_bound,
-        "truncation": args.truncation,
-        "trials": args.trials,
-        "pi": args.pi,
-    }
 
     if args.command == "verify-core":
         wanted = [s for s in args.suite.split(",") if s.strip()]
@@ -1343,7 +1351,7 @@ def run_command(args):
         bad = set(wanted) - known
         if bad:
             raise BadConfig(f"unknown suites: {sorted(bad)}")
-        config["suite"] = ",".join(wanted)
+        args.suite = ",".join(wanted)
         if "contact" in wanted:
             suite_contact(suite, data)
         if "exterior" in wanted:
@@ -1351,21 +1359,19 @@ def run_command(args):
         if "enveloping" in wanted:
             suite_enveloping(suite, data, rng)
         if "sp" in wanted:
-            suite_sp(suite, data, rng)
+            suite_sp(suite, data)
     elif args.command == "rumin":
         suite_rumin(suite, data, rng, args.degree_bound, args.trials, twist)
     elif args.command == "singular":
-        config["u"] = args.u
-        config["c"] = args.c
-        run_singular(suite, data, twist, args.u,
-                     contact_lie.parse_rational(args.c))
+        try:
+            c = contact_lie.parse_rational(args.c)
+        except ValueError as exc:
+            raise BadConfig(f"--c: {exc}") from None
+        run_singular(suite, data, twist, args.u, c)
     elif args.command == "classify":
-        c_max = args.c_max if args.c_max is not None else 2 * data.N + 4
-        config["c_min"] = args.c_min
-        config["c_max"] = c_max
-        if args.audit_cutoff is not None:
-            config["audit_cutoff"] = args.audit_cutoff
-        run_classify(suite, data, args.c_min, c_max, twist,
+        if args.c_max is None:
+            args.c_max = 2 * data.N + 4
+        run_classify(suite, data, args.c_min, args.c_max, twist,
                      args.audit_cutoff)
     elif args.command == "annihilation":
         if args.truncation < 4:
@@ -1375,9 +1381,14 @@ def run_command(args):
                 "table is read from"
             )
         suite_annihilation(suite, data, rng, args.truncation)
-    else:  # pragma: no cover
-        raise BadConfig(f"unknown command {args.command}")
 
+    # echo the options the command read, as resolved above; an option
+    # left unset (None) is omitted
+    config = {"algebra": args.algebra}
+    for flag in flags:
+        key = _dest(flag)
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     rep = report_mod.build_report(args.command, config, suite)
     text = (
         report_mod.render_json(rep)
@@ -1385,8 +1396,11 @@ def run_command(args):
         else report_mod.render_table(rep)
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadConfig(f"--out {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 1 if rep["summary"]["failed"] else 0
@@ -1397,8 +1411,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return run_command(args)
-    except (BadConfig, contact_lie.JacobiViolation, contact_lie.NotContact,
-            FileNotFoundError, KeyError, ValueError) as exc:
+    except BadConfig as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

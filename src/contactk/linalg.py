@@ -122,13 +122,11 @@ class Echelon:
 _AUG = "#aug"
 
 
-def _aug_order(order):
-    def key(k):
-        if isinstance(k, tuple) and len(k) == 2 and k[0] is _AUG:
-            return (1, k[1])
-        return (0, order(k))
-
-    return key
+def _aug_order(k):
+    """Pivot order of a `LinearSystem`: natural keys before tracking keys."""
+    if isinstance(k, tuple) and len(k) == 2 and k[0] is _AUG:
+        return (1, k[1])
+    return (0, k)
 
 
 class LinearSystem:
@@ -139,10 +137,8 @@ class LinearSystem:
     extraction fall out of the same echelon.
     """
 
-    def __init__(self, order=None):
-        base = order if order is not None else lambda k: k
-        self.base_order = base
-        self.ech = Echelon(order=_aug_order(base))
+    def __init__(self):
+        self.ech = Echelon(order=_aug_order)
         self.labels = []
 
     def add_column(self, label, vec):
@@ -198,6 +194,14 @@ def zeros(n, m=None):
 
 def identity(n):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def elementary(n, i, j):
+    """The n x n matrix unit E_ij."""
+    return tuple(
+        tuple(ONE if (r == i and c == j) else ZERO for c in range(n))
+        for r in range(n)
+    )
 
 
 def mat_add(a, b):

@@ -693,13 +693,6 @@ def jacobi_check(spec, v=None):
 # the gl-valued part of the embedding into the derivation pseudoalgebra
 
 
-def _elementary_full(dim, k, j):
-    return tuple(
-        tuple(ONE if (r == k and c == j) else ZERO for c in range(dim))
-        for r in range(dim)
-    )
-
-
 def _e_raised_full(data, i, j):
     """e^{ij} = sum_k r^{ik} e_k^j as a full gl(d) matrix, i >= 1."""
     dim = data.dim
@@ -708,7 +701,7 @@ def _e_raised_full(data, i, j):
         r = data.rmat[i][k]
         if r:
             acc = linalg.mat_add(acc, linalg.mat_scale(
-                _elementary_full(dim, k, j), r))
+                linalg.elementary(dim, k, j), r))
     return acc
 
 
@@ -733,7 +726,7 @@ def tau_of_e(data):
     _put_matrix(out, zero, data.ad_matrix(0))
     for j in range(dim):
         _put_matrix(out, tuple(env_mod.eps(dim, j)),
-                    _elementary_full(dim, 0, j))
+                    linalg.elementary(dim, 0, j))
     for i in range(1, dim):
         # - e_i (x) ad d^i - sum_j e_i e_j (x) e^{ij}
         adsum = linalg.zeros(dim)
@@ -766,7 +759,7 @@ def adsp_full(data, k):
         r = data.rmat[k][m]
         if r:
             acc = linalg.mat_add(acc, linalg.mat_scale(data.ad_matrix(m), r))
-    acc = linalg.mat_sub(acc, _elementary_full(dim, 0, k))
+    acc = linalg.mat_sub(acc, linalg.elementary(dim, 0, k))
     for i in range(1, dim):
         for j in range(1, dim):
             c = data.c[i][j][k]

@@ -84,11 +84,7 @@ class SpGenerators:
 
 def elementary_bar(dim, k, j):
     """e_k^j on the barred space, basis indices k, j in 1..2N."""
-    n2 = dim - 1
-    return tuple(
-        tuple(ONE if (r == k - 1 and c == j - 1) else ZERO for c in range(n2))
-        for r in range(n2)
-    )
+    return linalg.elementary(dim - 1, k - 1, j - 1)
 
 
 def build_sp(data):
@@ -373,23 +369,7 @@ def _poly_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            w = out.get(m, ZERO) + c1 * c2
-            if w:
-                out[m] = w
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _poly_add(p, q, c=ONE):
-    out = dict(p)
-    for m, v in q.items():
-        w = out.get(m, ZERO) + c * v
-        if w:
-            out[m] = w
-        else:
-            out.pop(m, None)
+            linalg.vec_put(out, tuple(sorted(m1 + m2)), c1 * c2)
     return out
 
 
@@ -406,7 +386,8 @@ def graded_nilpotency_certificate():
     def p(quad):
         acc = {}
         for perm in itertools.permutations(quad):
-            acc = _poly_add(acc, _poly_mul(g(perm[0], perm[1]), g(perm[2], perm[3])))
+            linalg.vec_iadd(
+                acc, _poly_mul(g(perm[0], perm[1]), g(perm[2], perm[3])))
         return acc
 
     a, b = 0, 1
@@ -416,8 +397,8 @@ def graded_nilpotency_certificate():
     lhs = _poly_mul(_poly_mul(gab, gab), _poly_mul(gab, gab))
     lhs = {m: 256 * c for m, c in lhs.items()}
     rhs = _poly_mul(p_aabb, p_aabb)
-    rhs = _poly_add(rhs, _poly_mul(p_aabb, _poly_mul(gaa, gbb)), Fraction(-16))
-    rhs = _poly_add(
-        rhs, _poly_mul(p_aaaa, _poly_mul(gbb, gbb)), Fraction(8, 3)
-    )
+    linalg.vec_iadd(
+        rhs, _poly_mul(p_aabb, _poly_mul(gaa, gbb)), Fraction(-16))
+    linalg.vec_iadd(
+        rhs, _poly_mul(p_aaaa, _poly_mul(gbb, gbb)), Fraction(8, 3))
     return lhs == rhs

@@ -13,6 +13,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def one_line_error(capsys):
+    """The stderr of an exit-2 run: one `error:` line, no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.strip() != "error:"
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
 def test_verify_core_sl2_passes(capsys):
     assert run(["verify-core", "--algebra", "sl2"]) == 0
     out = capsys.readouterr().out
@@ -29,8 +37,9 @@ def test_unknown_suite_is_bad_config():
     assert run(["verify-core", "--suite", "contact,nope"]) == 2
 
 
-def test_unknown_algebra_is_bad_config():
+def test_unknown_algebra_is_bad_config(capsys):
     assert run(["verify-core", "--algebra", "does-not-exist.json"]) == 2
+    assert "does-not-exist.json" in one_line_error(capsys)
 
 
 def test_suite_subset(capsys):
@@ -122,8 +131,9 @@ def test_json_schema_keys(tmp_path):
         assert c["status"] in ("pass", "fail", "info")
 
 
-def test_nilpotent2_rejected_for_perfect_algebra():
+def test_nilpotent2_rejected_for_perfect_algebra(capsys):
     assert run(["singular", "--algebra", "sl2", "--pi", "nilpotent2"]) == 2
+    assert "perfect" in one_line_error(capsys)
 
 
 def test_failing_check_sets_exit_code(monkeypatch, capsys):
@@ -145,7 +155,7 @@ def test_annihilation_truncation_floor_is_bad_config(monkeypatch, capsys):
     for t in ("3", "0", "-1"):
         assert run(["annihilation", "--algebra", "sl2",
                     "--truncation", t]) == 2
-        assert "--truncation >= 4" in capsys.readouterr().err
+        assert "--truncation >= 4" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("doc", [
@@ -165,14 +175,78 @@ def test_malformed_algebra_file_is_bad_config(doc, tmp_path, capsys):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc))
     assert run(["verify-core", "--algebra", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.strip() != "error:"
-    assert "Traceback" not in err
+    one_line_error(capsys)
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_bad_central_scalar_is_bad_config(value, capsys):
     assert run(["singular", "--algebra", "heisenberg:1", "--c", value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and value in err
-    assert "Traceback" not in err
+    assert value in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify-core", "--algebra", "heisenberg:x"], "heisenberg:x"),
+    (["verify-core", "--algebra", "heisenberg:0"], "heisenberg:0"),
+    (["singular", "--algebra", "heisenberg:1", "--u", "pi:x"], "pi:x"),
+    (["singular", "--algebra", "heisenberg:1", "--u", "pi:9"], "pi:9"),
+    (["singular", "--algebra", "sl2", "--out",
+      os.path.join("no-such-dir", "r.json")], "no-such-dir"),
+], ids=["heisenberg-x", "heisenberg-0", "u-pi-x", "u-pi-9", "out-dir"])
+def test_bad_input_is_bad_config(argv, needle, tmp_path, monkeypatch,
+                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert needle in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--trials", "3"],
+    ["singular", "--seed", "1"],
+    ["verify-core", "--pi", "trivial"],
+    ["annihilation", "--degree-bound", "4"],
+    ["rumin", "--truncation", "4"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_unread_option_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--algebra", "sl2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["verify-core", "--suite", "contact"], {"seed", "suite"}),
+    (["rumin", "--degree-bound", "2"],
+     {"seed", "degree_bound", "trials", "pi"}),
+    (["singular"], {"pi", "u", "c"}),
+    (["classify", "--c-min", "0", "--c-max", "0"],
+     {"pi", "c_min", "c_max"}),
+    (["classify", "--c-min", "0", "--c-max", "0", "--audit-cutoff", "4"],
+     {"pi", "c_min", "c_max", "audit_cutoff"}),
+    (["annihilation"], {"seed", "truncation"}),
+], ids=["verify-core", "rumin", "singular", "classify", "classify-audit",
+        "annihilation"])
+def test_config_echoes_only_what_the_command_reads(argv, keys, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--algebra", "sl2", "--format", "json",
+                       "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["config"]) == {"algebra"} | keys
+
+
+def test_commands_without_pi_build_no_twist(monkeypatch, capsys):
+    def never(*_args):
+        raise AssertionError("built a twist the command does not read")
+
+    monkeypatch.setattr(cli, "builtin_twist", never)
+    assert run(["verify-core", "--algebra", "sl2", "--suite", "contact"]) == 0
+    assert run(["annihilation", "--algebra", "sl2"]) == 0
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_error_is_not_bad_config(error, monkeypatch):
+    def broken(suite, data):
+        raise error("internal")
+
+    monkeypatch.setattr(cli, "suite_contact", broken)
+    with pytest.raises(error):
+        run(["verify-core", "--algebra", "sl2", "--suite", "contact"])
