@@ -34,54 +34,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class TruncatedWElement:
-    """Sum of x_I (x) e_j known modulo terms of contact degree beyond the
-    truncation bound."""
+class TruncatedWElement(DualElement):
+    """Sum of x_I (x) e_j, keyed (I, j), known modulo terms of contact
+    degree beyond the truncation bound."""
 
-    __slots__ = ("dim", "truncation", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, dim, truncation, coeffs=None):
-        if truncation < 0:
-            raise TruncationOverflow("truncation bound exhausted")
-        self.dim = dim
-        self.truncation = truncation
-        self.coeffs = {}
-        for (I, j), c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c and contact_degree(I) <= truncation:
-                self.coeffs[(tuple(I), j)] = c
-
-    def __eq__(self, other):
-        return (
-            self.dim == other.dim
-            and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"TruncatedWElement(T={self.truncation}, {self.coeffs})"
-
-    def scale(self, c):
-        return TruncatedWElement(
-            self.dim, self.truncation, linalg.vec_scale(self.coeffs, c)
-        )
-
-    def add(self, other):
-        t = min(self.truncation, other.truncation)
-        out = {
-            k: c for k, c in self.coeffs.items() if contact_degree(k[0]) <= t
-        }
-        for k, c in other.coeffs.items():
-            if contact_degree(k[0]) <= t:
-                w = out.get(k, ZERO) + c
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        return TruncatedWElement(self.dim, t, out)
-
-    def truncated(self, t):
-        return TruncatedWElement(self.dim, min(self.truncation, t), self.coeffs)
+    @staticmethod
+    def degree(key):
+        return contact_degree(key[0])
 
 
 def w_monomial(dim, I, j, truncation):

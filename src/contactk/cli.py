@@ -922,7 +922,8 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
         [m.dim for m in members],
     )
     # the untwisted member specs serve member_actions and, when the twist
-    # is trivial, the homomorphism checks too
+    # is trivial, the homomorphism checks too (the twisted maps `tw` are
+    # then the plain ones, as rumin.twist_trivial checks)
     specs = [palg.member_tensor_spec(data, mem) for mem in members]
     pr = Probe()
     for mi, (mem, spec) in enumerate(zip(members, specs)):
@@ -1018,12 +1019,11 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
     nontrivial = twist.dim_carrier > 1 or any(
         not linalg.is_zero_matrix(m) for m in twist.mats
     )
-    maps = hmats
     if nontrivial:
-        specs, maps = palg.twisted_contact_complex(data, twist)
+        specs = [palg.member_tensor_spec(data, mem, twist) for mem in members]
     pr = Probe()
-    for pos in range(len(maps)):
-        pr.check(palg.complex_homomorphism_check(specs, maps, pos),
+    for pos in range(len(tw)):
+        pr.check(palg.complex_homomorphism_check(specs, tw, pos),
                  position=pos)
     suite.record(
         "rumin.homomorphism",
@@ -1361,6 +1361,14 @@ def run_command(args):
         if "sp" in wanted:
             suite_sp(suite, data)
     elif args.command == "rumin":
+        if args.trials < 1:
+            raise BadConfig("rumin needs --trials >= 1")
+        if args.degree_bound < 2:
+            raise BadConfig(
+                "rumin needs --degree-bound >= 2: below that the "
+                "exactness checks' window of cocycles, coefficient degree "
+                "at most the bound minus 2, is empty"
+            )
         suite_rumin(suite, data, rng, args.degree_bound, args.trials, twist)
     elif args.command == "singular":
         try:
@@ -1371,6 +1379,14 @@ def run_command(args):
     elif args.command == "classify":
         if args.c_max is None:
             args.c_max = 2 * data.N + 4
+        if args.c_min > args.c_max:
+            raise BadConfig(f"--c-min {args.c_min} is above --c-max "
+                            f"{args.c_max}: the scan would be empty")
+        if args.audit_cutoff is not None and args.audit_cutoff < 3:
+            raise BadConfig(
+                "--audit-cutoff must be >= 3, the default cutoff of the "
+                "trivial factor: it raises the cutoff, never lowers it"
+            )
         run_classify(suite, data, args.c_min, args.c_max, twist,
                      args.audit_cutoff)
     elif args.command == "annihilation":

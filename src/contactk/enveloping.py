@@ -303,16 +303,21 @@ class DualElement:
 
     __slots__ = ("dim", "truncation", "coeffs")
 
+    @staticmethod
+    def degree(key):
+        """The contact degree that the truncation bounds, of a stored key."""
+        return contact_degree(key)
+
     def __init__(self, dim, truncation, coeffs=None):
         if truncation < 0:
             raise TruncationOverflow("truncation bound exhausted")
         self.dim = dim
         self.truncation = truncation
         self.coeffs = {}
-        for I, c in (coeffs or {}).items():
+        for key, c in (coeffs or {}).items():
             c = Fraction(c)
-            if c and contact_degree(I) <= truncation:
-                self.coeffs[I] = c
+            if c and self.degree(key) <= truncation:
+                self.coeffs[key] = c
 
     def __eq__(self, other):
         return (
@@ -322,25 +327,25 @@ class DualElement:
         )
 
     def __repr__(self):
-        return f"DualElement(T={self.truncation}, {self.coeffs})"
+        return f"{type(self).__name__}(T={self.truncation}, {self.coeffs})"
 
     def scale(self, c):
-        return DualElement(self.dim, self.truncation, scale(self.coeffs, c))
+        return type(self)(self.dim, self.truncation, scale(self.coeffs, c))
 
     def add(self, other):
         t = min(self.truncation, other.truncation)
-        out = {I: c for I, c in self.coeffs.items() if contact_degree(I) <= t}
-        for I, c in other.coeffs.items():
-            if contact_degree(I) <= t:
-                w = out.get(I, ZERO) + c
+        out = {k: c for k, c in self.coeffs.items() if self.degree(k) <= t}
+        for k, c in other.coeffs.items():
+            if self.degree(k) <= t:
+                w = out.get(k, ZERO) + c
                 if w:
-                    out[I] = w
+                    out[k] = w
                 else:
-                    out.pop(I, None)
-        return DualElement(self.dim, t, out)
+                    out.pop(k, None)
+        return type(self)(self.dim, t, out)
 
     def truncated(self, t):
-        return DualElement(self.dim, min(self.truncation, t), self.coeffs)
+        return type(self)(self.dim, min(self.truncation, t), self.coeffs)
 
 
 def dual_monomial(dim, I, truncation):

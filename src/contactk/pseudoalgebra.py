@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import enveloping as env_mod
 from . import linalg, pseudoforms, sp_rep
 from .enveloping import contact_degree, get_env
-from .linalg import LinearSystem, vec_put
+from .linalg import Echelon, LinearSystem, vec_iadd, vec_put
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,7 +60,8 @@ class _CFreeState:
     of these, so each part is built once for all of them: the carrier
     columns, the generator images without the central term, the Casimir
     on the carrier and, once the spec has siblings, the singular-space
-    column pairs per cutoff (`columns`, None for a standalone spec)."""
+    column pairs per cutoff (`columns`).  A standalone spec keeps no
+    column pairs (`columns` is None): `_column_pairs` streams them."""
 
     def __init__(self):
         self.carrier = None
@@ -99,8 +100,9 @@ class TensorModuleSpec:
         """The same (data, twist, U) module at central charge c.
 
         The result and this spec are siblings: they share one
-        `_CFreeState`, and from now on `singular_space` keeps the column
-        pairs of that state for every sibling to read."""
+        `_CFreeState`, and from now on `_column_pairs` keeps the column
+        pairs (m0, m1) on that state, so each sibling's `singular_space`
+        only forms m0 + c m1."""
         twin = copy.copy(self)
         twin.c = Fraction(c)
         if self._state.columns is None:
@@ -215,15 +217,6 @@ class TensorModuleSpec:
         return raw
 
 
-def tensor_element(items):
-    out = {}
-    for (I, r), c in (items.items() if isinstance(items, dict) else items):
-        c = Fraction(c)
-        if c:
-            out[(tuple(I), r)] = c
-    return out
-
-
 def element_degree(v):
     """Max contact degree of the coefficient support; -1 for zero."""
     return max((contact_degree(I) for (I, _r) in v), default=-1)
@@ -242,10 +235,9 @@ def _put_central(out, dim, v, scl):
     return out
 
 
-def e_star_raw(spec, v):
-    """Raw action terms: dict (F, G, (J, r)) -> coefficient, meaning sums
-    of (e^(F) (x) e^(G)) (x)_H (e^(J) (x) u_r).  The H-bilinear extension
-    multiplies the second tensor slot for module coefficients."""
+def _e_star_free(spec, v):
+    """The raw action terms of `e_star_raw` without the central term, so
+    the same for every c."""
     out = {}
     for (J, r), coeff in v.items():
         base = spec._e_star_generator(r)
@@ -257,7 +249,14 @@ def e_star_raw(spec, v):
                     out[key] = w
                 else:
                     out.pop(key, None)
-    return _put_central(out, spec.data.dim, v, spec.c / 2)
+    return out
+
+
+def e_star_raw(spec, v):
+    """Raw action terms: dict (F, G, (J, r)) -> coefficient, meaning sums
+    of (e^(F) (x) e^(G)) (x)_H (e^(J) (x) u_r).  The H-bilinear extension
+    multiplies the second tensor slot for module coefficients."""
+    return _put_central(_e_star_free(spec, v), spec.data.dim, v, spec.c / 2)
 
 
 @dataclass
@@ -329,22 +328,30 @@ def _high_part(env, raw):
 
 def _column_pairs(spec, cutoff):
     """((I, r), m0, m1) for every column of `singular_space`, in column
-    order: m0 is the high part of e * (e^(I) (x) u_r) at c = 0 and m1 that
-    of its central term at c = 1, so the column at c is m0 + c m1.  Kept
-    on the spec's shared state, once per cutoff."""
-    pairs = spec._state.columns.get(cutoff)
-    if pairs is None:
-        env, dim = spec.env, spec.data.dim
-        at0 = spec.at(0)
-        pairs = []
+    order: m0 is the high part of e * (e^(I) (x) u_r) without its central
+    term and m1 that of the central term at c = 1, so the column at c is
+    m0 + c m1.  A spec with siblings keeps the list on its shared state,
+    once per cutoff; a standalone spec gets a generator and keeps
+    nothing."""
+    env, dim = spec.env, spec.data.dim
+
+    def pairs():
         for I in env_mod.contact_indices(dim, cutoff):
+            # the central term does not act on u_r: its high part is
+            # normalized once per I and relabelled for each r
+            central = _high_part(
+                env, _put_central({}, dim, {(I, 0): ONE}, ONE / 2))
             for r in range(spec.dim_r):
-                v = {(I, r): ONE}
-                m0 = _high_part(env, e_star_raw(at0, v))
-                m1 = _high_part(env, _put_central({}, dim, v, ONE / 2))
-                pairs.append(((I, r), m0, m1))
-        spec._state.columns[cutoff] = pairs
-    return pairs
+                m0 = _high_part(env, _e_star_free(spec, {(I, r): ONE}))
+                m1 = {(F, (J, r)): x for (F, (J, _r)), x in central.items()}
+                yield (I, r), m0, m1
+
+    cache = spec._state.columns
+    if cache is None:
+        return pairs()
+    if cutoff not in cache:
+        cache[cutoff] = list(pairs())
+    return cache[cutoff]
 
 
 def singular_space(spec, cutoff=None):
@@ -352,29 +359,16 @@ def singular_space(spec, cutoff=None):
     bounded by the cutoff (2 when the symplectic action is nontrivial,
     3 otherwise, following the degree bound for proper submodules).
 
-    A standalone spec computes each column from the action and streams it
-    into the elimination.  A spec with siblings (see `TensorModuleSpec.at`)
-    forms each column as m0 + c m1 from the pairs its siblings share; the
-    columns, their order and so the reduced echelon form are the same."""
+    Each column is m0 + c m1 from `_column_pairs`, so a standalone spec
+    and a spec with siblings (see `TensorModuleSpec.at`) eliminate the
+    same columns in the same order.  The basis vectors are dicts
+    (I, r) -> coefficient."""
     if cutoff is None:
         cutoff = default_cutoff(spec)
     sys = LinearSystem()
-    if spec._state.columns is None:
-        env = spec.env
-        for I in env_mod.contact_indices(spec.data.dim, cutoff):
-            for r in range(spec.dim_r):
-                v = {(I, r): ONE}
-                sys.add_column((I, r), _high_part(env, e_star_raw(spec, v)))
-    else:
-        c = spec.c
-        for label, m0, m1 in _column_pairs(spec, cutoff):
-            col = dict(m0)
-            if c:
-                for key, x in m1.items():
-                    vec_put(col, key, c * x)
-            sys.add_column(label, col)
-    basis = [tensor_element(combo) for combo in sys.kernel()]
-    return basis, cutoff
+    for label, m0, m1 in _column_pairs(spec, cutoff):
+        sys.add_column(label, vec_iadd(dict(m0), m1, spec.c))
+    return sys.kernel(), cutoff
 
 
 def default_cutoff(spec):
@@ -385,16 +379,16 @@ def default_cutoff(spec):
 
 
 def filtration_dims(basis, cutoff):
-    """dim(span cap Fil^d) for d = 0..cutoff, computed exactly."""
-    dims = []
-    for d in range(cutoff + 1):
-        sys = LinearSystem()
-        for k, v in enumerate(basis):
-            high = {key: c for key, c in v.items()
-                    if contact_degree(key[0]) > d}
-            sys.add_column(k, high)
-        dims.append(len(sys.kernel()))
-    return dims
+    """dim(span cap Fil^d) for d = 0..cutoff, computed exactly.
+
+    The echelon form of the span pivots each row on its key of highest
+    contact degree, and a pivot key occurs in no other row; so a vector
+    of the span lies in Fil^d exactly when it combines rows of pivot
+    degree at most d, and those rows count dims[d]."""
+    ech = Echelon(order=lambda key: (-contact_degree(key[0]), key))
+    ech.extend(basis)
+    degrees = [contact_degree(I) for (I, _r) in ech.rows]
+    return [sum(1 for g in degrees if g <= d) for d in range(cutoff + 1)]
 
 
 @dataclass(frozen=True)
@@ -644,18 +638,19 @@ def skewness_check(data):
     return g == flipped
 
 
-def jacobi_check(spec, v=None):
-    """The Jacobi identity for the generator acting twice on a module
-    element, all three terms computed in left-normal position."""
+def jacobi_check(spec):
+    """The Jacobi identity for the generator acting twice, on each
+    degree-0 generator 1 (x) u_r of the module."""
+    zero = env_mod.unit_index(spec.data.dim)
+    return all(_jacobi_holds(spec, {(zero, r): ONE})
+               for r in range(spec.dim_r))
+
+
+def _jacobi_holds(spec, v):
+    """The Jacobi identity on one module element, all three terms
+    computed in left-normal position."""
     env = spec.env
     data = spec.data
-    if v is None:
-        results = []
-        zero = env_mod.unit_index(data.dim)
-        for r in range(spec.dim_r):
-            results.append(jacobi_check(spec, {(zero, r): ONE}))
-        return all(results)
-
     left1 = to_left_normal(env, e_star_raw(spec, v))
 
     # e * (e * v) at (f' (x) f (x) 1), minus the same with the legs swapped

@@ -81,14 +81,10 @@ def pform(degree, coeffs):
     return PseudoForm(degree, tuple(sorted(clean)))
 
 
-def pf_from_form(dim, a, h=None):
-    """h (x) alpha for a constant form alpha; h defaults to 1."""
-    terms = {}
-    hd = h if h is not None else env_mod.unit(dim)
-    for S, c in a.items():
-        for I, ch in hd.items():
-            terms[(I, S)] = c * ch
-    return pform(a.degree, terms)
+def pf_from_form(dim, a):
+    """1 (x) alpha for a constant form alpha."""
+    zero = env_mod.unit_index(dim)
+    return pform(a.degree, {(zero, S): c for S, c in a.items()})
 
 
 def pf_component(a, I):

@@ -20,6 +20,19 @@ def test_bracket_alternating(heis1):
         assert an.w_bracket(env, u, u).coeffs == {}
 
 
+def test_w_element_keeps_its_type(heis1):
+    # TruncatedWElement reuses DualElement's arithmetic, truncating on the
+    # contact degree of the functional in each (I, j) key
+    u = an.w_monomial(3, (0, 1, 0), 2, 4)
+    v = an.w_monomial(3, (1, 1, 1), 0, 4)
+    for w in (u.scale(3), u.add(v), u.truncated(3), u.add(v).truncated(2)):
+        assert type(w) is an.TruncatedWElement
+    assert u.add(v).coeffs == {((0, 1, 0), 2): ONE, ((1, 1, 1), 0): ONE}
+    assert u.add(v).truncated(3).coeffs == {((0, 1, 0), 2): ONE}
+    assert repr(u.scale(3)).startswith("TruncatedWElement(T=4, ")
+    assert an.w_monomial(3, (0, 1, 0), 0, 0).coeffs == {}
+
+
 def test_bracket_expansion_against_primitives(heis1):
     # [1 (x) e_0, x^j (x) e_i] = x^j (x) [e_0, e_i] - (x^j e_0) (x) e_i
     env = get_env(heis1)

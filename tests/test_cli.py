@@ -250,3 +250,40 @@ def test_internal_error_is_not_bad_config(error, monkeypatch):
     monkeypatch.setattr(cli, "suite_contact", broken)
     with pytest.raises(error):
         run(["verify-core", "--algebra", "sl2", "--suite", "contact"])
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["classify", "--c-min", "3", "--c-max", "0"], "--c-min 3"),
+    (["classify", "--c-min", "7"], "--c-max 6"),
+    (["classify", "--c-min", "0", "--c-max", "0", "--audit-cutoff", "0"],
+     "--audit-cutoff"),
+    (["classify", "--c-min", "0", "--c-max", "0", "--audit-cutoff", "2"],
+     "--audit-cutoff"),
+    (["rumin", "--trials", "0"], "--trials"),
+    (["rumin", "--trials", "-2"], "--trials"),
+    (["rumin", "--degree-bound", "1"], "--degree-bound"),
+    (["rumin", "--degree-bound", "-1"], "--degree-bound"),
+], ids=["c-min-above-c-max", "c-min-above-default-c-max", "audit-cutoff-0",
+        "audit-cutoff-2", "trials-0", "trials-negative", "degree-bound-1",
+        "degree-bound-negative"])
+def test_out_of_range_input_is_bad_config(argv, needle, monkeypatch,
+                                          capsys):
+    def never(*_args):  # pragma: no cover - the range is checked first
+        raise AssertionError("ran on an out-of-range input")
+
+    monkeypatch.setattr(cli, "run_classify", never)
+    monkeypatch.setattr(cli, "suite_rumin", never)
+    assert run(argv + ["--algebra", "sl2"]) == 2
+    assert needle in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--c-min", "2", "--c-max", "2", "--audit-cutoff", "3"],
+    ["rumin", "--trials", "1", "--degree-bound", "2"],
+], ids=["classify", "rumin"])
+def test_range_floors_are_accepted(argv, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_classify", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "suite_rumin", lambda *args: ran.append(args))
+    assert run(argv + ["--algebra", "sl2"]) == 0
+    assert len(ran) == 1

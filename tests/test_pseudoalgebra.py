@@ -410,10 +410,9 @@ def test_jacobi_falls_back_to_each_c(heis1, monkeypatch):
     real = pa.jacobi_check
     seen = []
 
-    def failing_at_minus_three(spec, v=None):
-        if v is None:
-            seen.append(spec.c)
-        return spec.c != -3 and real(spec, v)
+    def failing_at_minus_three(spec):
+        seen.append(spec.c)
+        return spec.c != -3 and real(spec)
 
     monkeypatch.setattr(pa, "jacobi_check", failing_at_minus_three)
     got = _classify_jacobi(heis1, -3, 6)
@@ -458,6 +457,68 @@ def test_siblings_match_fresh_specs(heis1, heis2):
                                   {(eps[0], r): ONE, (eps[1], r): -ONE}):
                             assert pa.e_star_raw(sib, v) == \
                                 pa.e_star_raw(fresh, v), where
+
+
+def test_standalone_spec_streams_its_columns(heis1, monkeypatch):
+    # a standalone spec gets its column pairs as an iterator and keeps
+    # none; its first sibling makes the shared state keep the list
+    returned = []
+    real = pa._column_pairs
+
+    def spy(spec, cutoff):
+        returned.append(real(spec, cutoff))
+        return returned[-1]
+
+    monkeypatch.setattr(pa, "_column_pairs", spy)
+    spec = make_spec(heis1, "1", 1)
+    basis, cutoff = pa.singular_space(spec)
+    assert spec._state.columns is None
+    assert not isinstance(returned[0], list) and iter(returned[0]) is \
+        returned[0]
+    sib = spec.at(1)
+    assert pa.singular_space(sib) == (basis, cutoff)
+    assert isinstance(returned[1], list)
+    assert spec._state.columns == {cutoff: returned[1]}
+
+
+def _filtration_dims_per_degree(basis, cutoff):
+    # one kernel per degree d: the combinations of the basis whose
+    # coefficients beyond contact degree d cancel
+    dims = []
+    for d in range(cutoff + 1):
+        sys = la.LinearSystem()
+        for k, v in enumerate(basis):
+            sys.add_column(k, {key: c for key, c in v.items()
+                               if ev.contact_degree(key[0]) > d})
+        dims.append(len(sys.kernel()))
+    return dims
+
+
+def test_filtration_dims_match_per_degree_kernels(heis1, heis2):
+    points = [(heis1, "trivial", 0), (heis1, "1", 1), (heis1, "1", 3),
+              (heis2, "trivial", 0), (heis2, "1", 1), (heis2, "1", 5),
+              (heis2, "2", 2), (heis2, "2", 4)]
+    for data, u, c in points:
+        spec = make_spec(data, u, c)
+        basis, cutoff = pa.singular_space(spec)
+        assert len(basis) > spec.dim_r, (u, c)
+        for cut in (cutoff, cutoff + 1):
+            assert pa.filtration_dims(basis, cut) == \
+                _filtration_dims_per_degree(basis, cut), (data.dim, u, c)
+    # random sparse independent sets: the reference counts dependencies
+    # too, so only independent vectors are kept
+    rng = random.Random(11)
+    keys = [(I, r) for I in ev.contact_indices(3, 4) for r in range(2)]
+    for _ in range(40):
+        ech, basis = la.Echelon(), []
+        for _k in range(rng.randint(1, 8)):
+            v = {}
+            for key in rng.sample(keys, rng.randint(1, 4)):
+                v[key] = Fraction(rng.choice((-3, -1, 1, 2)))
+            if ech.add(v) is not None:
+                basis.append(v)
+        assert pa.filtration_dims(basis, 4) == \
+            _filtration_dims_per_degree(basis, 4), basis
 
 
 def test_tau_identity(algebras, nonuni):
