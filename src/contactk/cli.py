@@ -79,18 +79,12 @@ def builtin_twist(data, name):
         return pfm.trace_character_twist(data)
     if name == "nilpotent2":
         # strictly upper triangular 2-dim module from a covector that
-        # kills the derived algebra
-        ech = linalg.Echelon()
-        for i in range(data.dim):
-            for j in range(data.dim):
-                vec = data.bracket_vec(data.basis_vector(i), data.basis_vector(j))
-                ech.add({k: c for k, c in enumerate(vec) if c})
-        rows = ech.basis()
+        # kills the derived algebra: lam(k) sums against every [e_i, e_j]
         sys_ = linalg.LinearSystem()
         for k in range(data.dim):
-            sys_.add_column(
-                k, {r: rows[r][k] for r in range(len(rows)) if rows[r].get(k)}
-            )
+            sys_.add_column(k, {(i, j): data.c[i][j][k]
+                                for i in range(data.dim)
+                                for j in range(data.dim) if data.c[i][j][k]})
         kern = sys_.kernel()
         if not kern:
             raise BadConfig(
@@ -959,12 +953,25 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
             not rep["failures"],
             rep,
         )
+    # map i of the constant complex is d0 in the target's carrier
+    # coordinates; the middle map first completes f to f - theta ^ gamma,
+    # where d0(f) = theta ^ beta + omega ^ gamma
     cx = pfm.constant_complex(members, hmats)
+    pr = Probe()
+    for i, cols in enumerate(cx.maps):
+        for s_idx, f in enumerate(members[i].basis):
+            if i == data.N:
+                _beta, gamma = exterior.solve_theta_omega(
+                    data, data.N + 1, exterior.d0(data, f))
+                f = f - exterior.theta_mul(data, gamma)
+            want = members[i + 1].form_coords(exterior.d0(data, f))
+            pr.check(cols[s_idx] == want, position=i, column=s_idx,
+                     got=cols[s_idx], want=want)
     suite.record(
-        "rumin.constant_compositions",
-        "the constant contact complex composes to zero",
-        cx.compositions_vanish(),
-        {"dims": cx.dims},
+        "rumin.constant_is_d0",
+        "the constant contact complex is d0, completed by theta ^ gamma "
+        "at the middle map",
+        *pr.result(),
     )
     # twisting checks
     pr = Probe()

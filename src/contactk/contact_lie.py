@@ -409,8 +409,9 @@ def parse_rational(x):
     try:
         if isinstance(x, (int, str)):
             return Fraction(x)
-        if isinstance(x, (list, tuple)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
+        if isinstance(x, (list, tuple)) and len(x) == 2 and all(
+                isinstance(p, int) and not isinstance(p, bool) for p in x):
+            return Fraction(*x)
     except ZeroDivisionError:
         raise ValueError(f"rational {x!r} has denominator 0") from None
     raise ValueError(f"cannot parse rational from {x!r}")

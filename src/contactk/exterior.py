@@ -240,13 +240,6 @@ def compute_I(data, n):
     return subspace(gens)
 
 
-def _echelonized_forms(n, combos):
-    ech = Echelon()
-    for combo in combos:
-        ech.add(dict(combo))
-    return [form(n, row) for row in ech.basis()]
-
-
 def compute_K(data, n):
     """K^n = ker(theta ^ .) cap ker(omega ^ .) on W^n, as an echelonized
     form basis with strictly increasing leading monomials."""
@@ -260,7 +253,7 @@ def compute_K(data, n):
         for k, v in wedge(om, mono).items():
             col[("om",) + k] = v
         sys.add_column(key, col)
-    return _echelonized_forms(n, sys.kernel())
+    return [form(n, v) for v in sys.kernel()]
 
 
 def standard_keys(data, n, ech_I):
@@ -292,7 +285,7 @@ def compute_Kbar(data, n):
     for key in bar_monomials(data.dim, n):
         mono = form(n, {key: ONE})
         sys.add_column(key, wedge(om, mono).as_dict())
-    return _echelonized_forms(n, sys.kernel())
+    return [form(n, v) for v in sys.kernel()]
 
 
 def psi_bar_power_matrix(data, m):
@@ -313,7 +306,7 @@ def psi_bar_power_is_iso(data, m):
     nn = data.N
     sys = psi_bar_power_matrix(data, m)
     src = len(bar_monomials(data.dim, nn - m))
-    return len(sys.kernel()) == 0 and sys.image_rank() == src
+    return sys.image_rank() == src
 
 
 def lemma_composition_is_iso(data, m):
@@ -329,15 +322,12 @@ def lemma_composition_is_iso(data, m):
         return True
     power = psi_bar_power_matrix(data, m)
     ech = Echelon()
-    rank = 0
     for f in kbar:
         sol = power.solve(f.as_dict())
         if sol is None:
             return False
-        red = ibar.reduce(sol)
-        if ech.add(red) is not None:
-            rank += 1
-    return rank == quot_dim
+        ech.add(ibar.reduce(sol))
+    return ech.rank == quot_dim
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Two layers live here.  Sparse vectors are plain dicts mapping hashable keys
-to nonzero Fractions; the Echelon class maintains a reduced row echelon
-basis of such vectors under a deterministic key order and supports
-membership reduction, kernel extraction and solving.  Dense matrices are
-tuples of tuples of Fractions with a handful of helpers (product, inverse,
-Kronecker product) used by the representation-theoretic modules.
+Two layers live here.  Sparse vectors are plain dicts mapping keys that
+compare natively to nonzero Fractions.  The Echelon class keeps a
+semi-echelon basis of such vectors, each row pivoted on its smallest key;
+it gives unique normal forms, and the reduced basis on demand.
+LinearSystem reads solutions and kernels off one Echelon of tracked
+columns.  Dense matrices are tuples of tuples of Fractions with a handful
+of helpers (product, inverse, Kronecker product) used by the
+representation-theoretic modules.
 
 Everything is exact; no floats anywhere.
 """
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -60,36 +63,33 @@ def vec_sub(u, v):
 
 
 class Echelon:
-    """Reduced row echelon basis of sparse vectors.
+    """Semi-echelon basis of sparse vectors whose keys compare natively.
 
-    Rows are indexed by their pivot key.  The invariant is full reduction:
-    no row contains the pivot key of another row, and every row has
-    coefficient 1 at its own pivot.  The pivot of a vector is its smallest
-    key under `order` (default: natural sort of the keys).  With that
-    invariant, reducing a vector needs a single pass over its pivot keys.
+    Rows are indexed by their pivot, the smallest key of the row, and have
+    coefficient 1 there.  A row holds no key below its pivot, but it may
+    hold the pivots of later rows: `add` reduces the new vector only.
+    `reduce` clears the pivots in increasing order, so its result holds no
+    pivot key; that normal form modulo the span is unique, whatever order
+    the rows came in.  The reduced row echelon basis is built by
+    back-substitution when `basis` is called.
     """
 
-    def __init__(self, order=None):
-        self.order = order if order is not None else lambda k: k
+    def __init__(self):
         self.rows = {}
-
-    def __len__(self):
-        return len(self.rows)
+        self.pivots = []  # the keys of `rows`, sorted
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def pivots(self):
-        return sorted(self.rows, key=self.order)
-
     def reduce(self, vec):
-        """Fully reduce vec against the basis; returns a new dict."""
+        """Normal form of vec modulo the span; returns a new dict."""
         out = dict(vec)
-        for k in [k for k in vec if k in self.rows]:
-            c = out.get(k)
+        rows = self.rows
+        for piv in self.pivots:
+            c = out.get(piv)
             if c:
-                vec_iadd(out, self.rows[k], -c)
+                vec_iadd(out, rows[piv], -c)
         return out
 
     def contains(self, vec):
@@ -100,83 +100,65 @@ class Echelon:
         red = self.reduce(vec)
         if not red:
             return None
-        piv = min(red, key=self.order)
-        row = vec_scale(red, 1 / red[piv])
-        # keep existing rows reduced against the new pivot
-        for other in self.rows.values():
-            c = other.get(piv)
-            if c:
-                vec_iadd(other, row, -c)
-        self.rows[piv] = row
+        piv = min(red)
+        self.rows[piv] = vec_scale(red, 1 / red[piv])
+        insort(self.pivots, piv)
         return piv
 
-    def extend(self, vecs):
-        for v in vecs:
-            self.add(v)
-        return self
-
     def basis(self):
-        return [dict(self.rows[k]) for k in self.pivots()]
+        """The reduced row echelon basis, in increasing pivot order."""
+        return _back_substitute(self.rows, self.pivots)
 
 
-_AUG = "#aug"
+def _back_substitute(rows, pivots):
+    """Fully reduce the rows of `pivots` (sorted) against each other.
 
-
-def _aug_order(k):
-    """Pivot order of a `LinearSystem`: natural keys before tracking keys."""
-    if isinstance(k, tuple) and len(k) == 2 and k[0] is _AUG:
-        return (1, k[1])
-    return (0, k)
+    The later rows are reduced first, so one pass clears each row."""
+    done = {}
+    for piv in reversed(pivots):
+        row = dict(rows[piv])
+        for k in [k for k in row if k in done]:
+            vec_iadd(row, done[k], -row[k])
+        done[piv] = row
+    return [done[piv] for piv in pivots]
 
 
 class LinearSystem:
     """Span of labelled vectors, supporting solve and kernel queries.
 
-    Columns are added as (label, vector) pairs; internally each vector is
-    augmented with a unit tracking key so that solving and kernel
-    extraction fall out of the same echelon.
+    Column i is stored in one `Echelon` with each key k as (0, k) and a
+    unit tracking key (1, i).  Tracking keys sort after every column key,
+    so a row pivoted on a tracking key holds tracking keys only: it is a
+    relation among the columns.
     """
 
     def __init__(self):
-        self.ech = Echelon(order=_aug_order)
+        self.ech = Echelon()
         self.labels = []
 
     def add_column(self, label, vec):
-        idx = len(self.labels)
+        aug = {(0, k): v for k, v in vec.items()}
+        aug[(1, len(self.labels))] = ONE
         self.labels.append(label)
-        aug = dict(vec)
-        aug[(_AUG, idx)] = ONE
         self.ech.add(aug)
-
-    def _split(self, vec):
-        nat, aug = {}, {}
-        for k, v in vec.items():
-            if isinstance(k, tuple) and len(k) == 2 and k[0] is _AUG:
-                aug[self.labels[k[1]]] = v
-            else:
-                nat[k] = v
-        return nat, aug
 
     def solve(self, target):
         """Coefficients {label: c} with sum(c * column) == target, or None."""
-        red = self.ech.reduce(dict(target))
-        nat, aug = self._split(red)
-        if nat:
+        red = self.ech.reduce({(0, k): v for k, v in target.items()})
+        if any(tag == 0 for tag, _ in red):
             return None
-        return {lab: -c for lab, c in aug.items()}
+        return {self.labels[i]: -c for (_, i), c in red.items()}
 
     def kernel(self):
-        """Basis of {x : sum_i x_i column_i = 0} as {label: c} dicts."""
-        out = []
-        for piv in self.ech.pivots():
-            nat, aug = self._split(self.ech.rows[piv])
-            if not nat:
-                out.append(aug)
-        return out
+        """Basis of {x : sum_i x_i column_i = 0} as {label: c} dicts, in
+        reduced form."""
+        pivots = self.ech.pivots
+        relations = pivots[bisect_left(pivots, (1,)):]
+        return [{self.labels[i]: c for (_, i), c in row.items()}
+                for row in _back_substitute(self.ech.rows, relations)]
 
     def image_rank(self):
-        return sum(1 for piv in self.ech.rows if not (
-            isinstance(piv, tuple) and len(piv) == 2 and piv[0] is _AUG))
+        return bisect_left(self.ech.pivots, (1,))
 
 
 # ---------------------------------------------------------------------------

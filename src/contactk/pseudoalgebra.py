@@ -381,13 +381,16 @@ def default_cutoff(spec):
 def filtration_dims(basis, cutoff):
     """dim(span cap Fil^d) for d = 0..cutoff, computed exactly.
 
-    The echelon form of the span pivots each row on its key of highest
-    contact degree, and a pivot key occurs in no other row; so a vector
-    of the span lies in Fil^d exactly when it combines rows of pivot
-    degree at most d, and those rows count dims[d]."""
-    ech = Echelon(order=lambda key: (-contact_degree(key[0]), key))
-    ech.extend(basis)
-    degrees = [contact_degree(I) for (I, _r) in ech.rows]
+    Each key (I, r) is taken as (-contact_degree(I), (I, r)), so the
+    echelon form pivots each row on a key of highest contact degree: every
+    other key of a row has contact degree at most its pivot's.  The pivots
+    are distinct, so a vector of the span lies in Fil^d exactly when it
+    combines rows of pivot degree at most d, and those rows count
+    dims[d]."""
+    ech = Echelon()
+    for vec in basis:
+        ech.add({(-contact_degree(key[0]), key): c for key, c in vec.items()})
+    degrees = [-g for g, _key in ech.rows]
     return [sum(1 for g in degrees if g <= d) for d in range(cutoff + 1)]
 
 

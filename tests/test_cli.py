@@ -168,9 +168,16 @@ def test_annihilation_truncation_floor_is_bad_config(monkeypatch, capsys):
     {"dim": 3, "brackets": [[0, 1, 2, 1, 1]]},
     {"dim": [3], "brackets": [[0, 1, 2, 1, 1]], "theta": [0, 0, 1]},
     {"dim": 3, "brackets": [[0, 1, 2, 1, 1]], "theta": 1},
+    {"dim": 3, "brackets": [[0, 1, 2, 1.9, 1]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 1.5]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[0, 1, 2, {}, 1]], "theta": [0, 0, 1]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 1]], "theta": [0, 0, [True, 2]]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1, 1]], "theta": [0, 0, [None, 1]]},
 ], ids=["index-too-large", "index-negative", "zero-denominator",
         "zero-theta-denominator", "short-bracket", "top-level-list",
-        "no-theta", "list-dim", "scalar-theta"])
+        "no-theta", "list-dim", "scalar-theta", "float-numerator",
+        "float-denominator", "dict-numerator", "bool-theta-pair",
+        "null-theta-pair"])
 def test_malformed_algebra_file_is_bad_config(doc, tmp_path, capsys):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc))

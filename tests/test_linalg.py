@@ -11,14 +11,98 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+# ---------------------------------------------------------------------------
+# reference: the Gauss-Jordan elimination that `linalg` used before its
+# semi-echelon core; every row is kept fully reduced as it is added
+
+
+class GaussJordan:
+    def __init__(self, order=None):
+        self.order = order if order is not None else lambda k: k
+        self.rows = {}
+
+    def pivots(self):
+        return sorted(self.rows, key=self.order)
+
+    def reduce(self, vec):
+        out = dict(vec)
+        for k in [k for k in vec if k in self.rows]:
+            c = out.get(k)
+            if c:
+                la.vec_iadd(out, self.rows[k], -c)
+        return out
+
+    def add(self, vec):
+        red = self.reduce(vec)
+        if not red:
+            return None
+        piv = min(red, key=self.order)
+        row = la.vec_scale(red, 1 / red[piv])
+        for other in self.rows.values():
+            c = other.get(piv)
+            if c:
+                la.vec_iadd(other, row, -c)
+        self.rows[piv] = row
+        return piv
+
+    def basis(self):
+        return [dict(self.rows[k]) for k in self.pivots()]
+
+
+_AUG = "#aug"
+
+
+def _is_aug(k):
+    return isinstance(k, tuple) and len(k) == 2 and k[0] is _AUG
+
+
+class GaussJordanSystem:
+    def __init__(self):
+        self.ech = GaussJordan(
+            order=lambda k: (1, k[1]) if _is_aug(k) else (0, k))
+        self.labels = []
+
+    def add_column(self, label, vec):
+        aug = dict(vec)
+        aug[(_AUG, len(self.labels))] = ONE
+        self.labels.append(label)
+        self.ech.add(aug)
+
+    def _split(self, vec):
+        nat, aug = {}, {}
+        for k, v in vec.items():
+            if _is_aug(k):
+                aug[self.labels[k[1]]] = v
+            else:
+                nat[k] = v
+        return nat, aug
+
+    def solve(self, target):
+        nat, aug = self._split(self.ech.reduce(dict(target)))
+        if nat:
+            return None
+        return {lab: -c for lab, c in aug.items()}
+
+    def kernel(self):
+        out = []
+        for piv in self.ech.pivots():
+            nat, aug = self._split(self.ech.rows[piv])
+            if not nat:
+                out.append(aug)
+        return out
+
+    def image_rank(self):
+        return sum(1 for piv in self.ech.rows if not _is_aug(piv))
+
+
 def test_echelon_reduce_and_rank():
     ech = la.Echelon()
     assert ech.add({0: ONE, 1: ONE}) == 0
     assert ech.add({1: ONE}) == 1
     assert ech.add({0: ONE}) is None  # dependent on the first two
     assert ech.rank == 2
-    # rows stay mutually reduced
-    assert ech.rows[0] == {0: ONE}
+    # the reduced basis is built from the semi-echelon rows on demand
+    assert ech.basis() == [{0: ONE}, {1: ONE}]
 
 
 def test_echelon_contains():
@@ -49,6 +133,53 @@ def test_linear_system_solve_and_kernel():
     assert acc == {}
     assert sys.solve({2: ONE}) is None
     assert sys.image_rank() == 2
+
+
+def _sparse_vectors(rng, count, keys):
+    """Sparse vectors over `keys`, some of them combinations of others."""
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.3:
+            vec = {}
+            for v in rng.sample(out, min(len(out), 2)):
+                la.vec_iadd(vec, v, Fraction(rng.randint(-2, 2)))
+        else:
+            vec = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for k in rng.sample(keys, rng.randint(0, len(keys)))}
+            vec = {k: c for k, c in vec.items() if c}
+        out.append(vec)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_semi_echelon_matches_gauss_jordan(seed):
+    rng = random.Random(seed)
+    keys = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(8)]
+    keys = sorted(set(keys))
+    rows = _sparse_vectors(rng, rng.randint(0, 8), keys)
+    probes = _sparse_vectors(rng, 4, keys) + rows[:2]
+    ech, ref = la.Echelon(), GaussJordan()
+    for row in rows:
+        assert ech.add(row) == ref.add(row)
+    assert ech.rank == len(ref.rows)
+    assert set(ech.rows) == set(ref.rows)
+    assert ech.basis() == ref.basis()
+    backwards = la.Echelon()
+    for row in reversed(rows):
+        backwards.add(row)
+    for vec in probes:
+        assert ech.reduce(vec) == ref.reduce(vec) == backwards.reduce(vec)
+    assert backwards.basis() == ref.basis()
+
+    sys, ref_sys = la.LinearSystem(), GaussJordanSystem()
+    for j, col in enumerate(rows):
+        sys.add_column(("col", j), col)
+        ref_sys.add_column(("col", j), col)
+    assert sys.kernel() == ref_sys.kernel()
+    assert sys.image_rank() == ref_sys.image_rank()
+    for vec in probes:
+        assert sys.solve(vec) == ref_sys.solve(vec)
 
 
 @settings(max_examples=30, deadline=None)
