@@ -36,6 +36,8 @@ CASES = {
         "classify", "--algebra", "heisenberg:1", "--pi", "nilpotent2",
     ],
     "rumin_heis1": ["rumin", "--algebra", "heisenberg:1"],
+    "rumin_nonuni": ["rumin", "--algebra", "tests/data/nonuni.json"],
+    "classify_nonuni": ["classify", "--algebra", "tests/data/nonuni.json"],
     "verify_core_heis1": ["verify-core", "--algebra", "heisenberg:1"],
     "verify_core_heis2_exterior": [
         "verify-core", "--algebra", "heisenberg:2", "--suite", "exterior",
