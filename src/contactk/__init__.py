@@ -31,7 +31,6 @@ from .pseudoalgebra import (  # noqa: F401
     TensorModuleSpec,
     Verdict,
     classify,
-    e_star,
     is_singular,
     singular_space,
 )

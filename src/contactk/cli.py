@@ -5,6 +5,8 @@ named family of exact checks, and emit a deterministic report in table or
 JSON form.  The exit status is 0 when every check passes, 1 when any
 fails, and 2 for configuration errors, so the suites double as CI gates.
 
+Each suite records its checks on a `report.Suite`: `suite.record` for one
+verdict, `with suite.probe(name, statement) as pr:` for a family of cases.
 Every failed check carries a minimal witness: the offending input and,
 where the check compares two expressions, both sides of the violated
 identity.
@@ -34,30 +36,6 @@ ONE = Fraction(1)
 
 class BadConfig(ValueError):
     """Unusable command-line configuration."""
-
-
-class Probe:
-    """Aggregates a family of cases, keeping the first failing witness."""
-
-    def __init__(self):
-        self.ok = True
-        self.witness = None
-
-    def check(self, good, **case):
-        if not good and self.witness is None:
-            self.witness = case or {"case": "unspecified"}
-        self.ok = self.ok and bool(good)
-        return good
-
-    def eq(self, lhs, rhs, **case):
-        good = lhs == rhs
-        if not good and self.witness is None:
-            self.witness = dict(case, lhs=lhs, rhs=rhs)
-        self.ok = self.ok and good
-        return good
-
-    def result(self):
-        return self.ok, self.witness
 
 
 # ---------------------------------------------------------------------------
@@ -133,72 +111,60 @@ def suite_contact(suite, data):
         {"d_theta": exterior.d0(data, th).as_dict(),
          "omega": om.as_dict()},
     )
-    pr = Probe()
-    for i in range(dim):
-        for j in range(dim):
+    with suite.probe("contact.omega_bracket",
+                     "omega(a^b) = -theta([a,b]) on all basis pairs") as pr:
+        for i in range(dim):
+            for j in range(dim):
+                pr.eq(
+                    data.omega_pair(data.basis_vector(i),
+                                    data.basis_vector(j)),
+                    -data.theta_of(
+                        data.bracket_vec(data.basis_vector(i),
+                                         data.basis_vector(j))
+                    ),
+                    pair=(i, j),
+                )
+    with suite.probe("contact.radical",
+                     "the distinguished direction spans the radical of omega "
+                     "and brackets into the barred part") as pr:
+        pr.check(exterior.contract(data, data.basis_vector(0), om).is_zero(),
+                 part="contraction of omega with s")
+        for i in range(dim):
             pr.eq(
-                data.omega_pair(data.basis_vector(i), data.basis_vector(j)),
-                -data.theta_of(
-                    data.bracket_vec(data.basis_vector(i),
-                                     data.basis_vector(j))
+                data.theta_of(
+                    data.bracket_vec(data.basis_vector(0),
+                                     data.basis_vector(i))
                 ),
-                pair=(i, j),
+                ZERO,
+                bracket_with=i,
             )
-    suite.record(
-        "contact.omega_bracket",
-        "omega(a^b) = -theta([a,b]) on all basis pairs",
-        *pr.result(),
-    )
-    pr = Probe()
-    pr.check(exterior.contract(data, data.basis_vector(0), om).is_zero(),
-             part="contraction of omega with s")
-    for i in range(dim):
-        pr.eq(
-            data.theta_of(
-                data.bracket_vec(data.basis_vector(0), data.basis_vector(i))
-            ),
-            ZERO,
-            bracket_with=i,
-        )
-    suite.record(
-        "contact.radical",
-        "the distinguished direction spans the radical of omega and "
-        "brackets into the barred part",
-        *pr.result(),
-    )
-    pr = Probe()
-    for i in range(1, dim):
-        for k in range(1, dim):
-            want = ONE if i == k else ZERO
-            pr.eq(
-                sum(data.rmat[i][j] * data.omega[j][k]
-                    for j in range(1, dim)),
-                want, pair=(i, k),
-            )
-    suite.record("contact.r_inverse", "r inverts the restricted omega",
-                 *pr.result())
-    pr = Probe()
-    for i in range(1, dim):
-        for k in range(1, dim):
-            pr.eq(
-                data.omega_pair(data.dual_vector(i), data.basis_vector(k)),
-                ONE if i == k else ZERO, pair=(i, k),
-            )
-    suite.record("contact.dual_pairing", "omega(d^i ^ e_k) = delta^i_k",
-                 *pr.result())
-    pr = Probe()
-    for i in range(1, dim):
-        for j in range(1, dim):
-            pr.eq(
-                data.omega_pair(data.dual_vector(i), data.dual_vector(j)),
-                -data.rmat[i][j], pair=(i, j),
-            )
-            pr.eq(data.rmat[i][j], -data.rmat[j][i], pair=(i, j))
-    suite.record(
-        "contact.dual_omega",
-        "omega(d^i ^ d^j) = -r^{ij} = r^{ji}",
-        *pr.result(),
-    )
+    with suite.probe("contact.r_inverse",
+                     "r inverts the restricted omega") as pr:
+        for i in range(1, dim):
+            for k in range(1, dim):
+                want = ONE if i == k else ZERO
+                pr.eq(
+                    sum(data.rmat[i][j] * data.omega[j][k]
+                        for j in range(1, dim)),
+                    want, pair=(i, k),
+                )
+    with suite.probe("contact.dual_pairing",
+                     "omega(d^i ^ e_k) = delta^i_k") as pr:
+        for i in range(1, dim):
+            for k in range(1, dim):
+                pr.eq(
+                    data.omega_pair(data.dual_vector(i), data.basis_vector(k)),
+                    ONE if i == k else ZERO, pair=(i, k),
+                )
+    with suite.probe("contact.dual_omega",
+                     "omega(d^i ^ d^j) = -r^{ij} = r^{ji}") as pr:
+        for i in range(1, dim):
+            for j in range(1, dim):
+                pr.eq(
+                    data.omega_pair(data.dual_vector(i), data.dual_vector(j)),
+                    -data.rmat[i][j], pair=(i, j),
+                )
+                pr.eq(data.rmat[i][j], -data.rmat[j][i], pair=(i, j))
     suite.record(
         "contact.trace_identity",
         "the dual-trace identity for the structure constants holds",
@@ -222,33 +188,26 @@ def suite_contact(suite, data):
         {"got": got, "want": -2 * data.N},
     )
     sympl = contact_lie.symplectic_basis(data)
-    pr = Probe()
-    for i in range(1, dim):
-        for j in range(1, dim):
-            want = ZERO
-            if j == i + data.N:
-                want = ONE
-            elif i == j + data.N:
-                want = -ONE
-            pr.eq(data.omega_pair(sympl[i - 1], sympl[j - 1]), want,
-                  pair=(i, j))
-    suite.record(
-        "contact.symplectic_gs",
-        "symplectic reduction produces a standard basis",
-        *pr.result(),
-    )
+    with suite.probe("contact.symplectic_gs",
+                     "symplectic reduction produces a standard basis") as pr:
+        for i in range(1, dim):
+            for j in range(1, dim):
+                want = ZERO
+                if j == i + data.N:
+                    want = ONE
+                elif i == j + data.N:
+                    want = -ONE
+                pr.eq(data.omega_pair(sympl[i - 1], sympl[j - 1]), want,
+                      pair=(i, j))
     ds = contact_lie.with_symplectic_basis(data)
-    pr = Probe()
-    pr.check(contact_lie.is_symplectic(ds), part="pairings")
-    for i in range(1, ds.N + 1):
-        pr.eq(ds.dual_vector(i),
-              tuple(-x for x in ds.basis_vector(i + ds.N)), dual=i)
-        pr.eq(ds.dual_vector(i + ds.N), ds.basis_vector(i), dual=i + ds.N)
-    suite.record(
-        "contact.symplectic_duals",
-        "in a standard frame d^i = -e_{i+N} and d^{i+N} = e_i",
-        *pr.result(),
-    )
+    with suite.probe("contact.symplectic_duals",
+                     "in a standard frame d^i = -e_{i+N} and d^{i+N} = "
+                     "e_i") as pr:
+        pr.check(contact_lie.is_symplectic(ds), part="pairings")
+        for i in range(1, ds.N + 1):
+            pr.eq(ds.dual_vector(i),
+                  tuple(-x for x in ds.basis_vector(i + ds.N)), dual=i)
+            pr.eq(ds.dual_vector(i + ds.N), ds.basis_vector(i), dual=i + ds.N)
     suite.record(
         "contact.symplectic_idempotent",
         "symplectic reduction fixes an already standard basis",
@@ -262,118 +221,92 @@ def suite_exterior(suite, data):
     dim = data.dim
     th = exterior.theta_form(data)
     om = exterior.omega_form(data)
-    pr = Probe()
-    for n in range(dim + 1):
-        for key in exterior.monomials(dim, n):
-            f = exterior.form(n, {key: ONE})
-            dd = exterior.d0(data, exterior.d0(data, f))
-            pr.check(dd.is_zero(), monomial=key, d_squared=dd.as_dict())
-    suite.record(
-        "exterior.d0_squared",
-        "the constant differential squares to zero on every monomial",
-        *pr.result(),
-    )
-    pr = Probe()
-    for k in range(dim):
-        A = data.ad_matrix(k)
-        vk = data.basis_vector(k)
+    with suite.probe("exterior.d0_squared",
+                     "the constant differential squares to zero on every "
+                     "monomial") as pr:
         for n in range(dim + 1):
             for key in exterior.monomials(dim, n):
                 f = exterior.form(n, {key: ONE})
-                lhs = exterior.gl_act(data, A, f)
-                rhs = exterior.d0(data, exterior.contract(data, vk, f)) + \
-                    exterior.contract(data, vk, exterior.d0(data, f))
-                pr.eq(lhs.as_dict(), rhs.as_dict(),
-                      direction=k, monomial=key)
-    suite.record(
-        "exterior.cartan",
-        "the homotopy formula for the adjoint action holds everywhere",
-        *pr.result(),
-    )
+                dd = exterior.d0(data, exterior.d0(data, f))
+                pr.check(dd.is_zero(), monomial=key, d_squared=dd.as_dict())
+    with suite.probe("exterior.cartan",
+                     "the homotopy formula for the adjoint action holds "
+                     "everywhere") as pr:
+        for k in range(dim):
+            A = data.ad_matrix(k)
+            vk = data.basis_vector(k)
+            for n in range(dim + 1):
+                for key in exterior.monomials(dim, n):
+                    f = exterior.form(n, {key: ONE})
+                    lhs = exterior.gl_act(data, A, f)
+                    rhs = exterior.d0(data, exterior.contract(data, vk, f)) + \
+                        exterior.contract(data, vk, exterior.d0(data, f))
+                    pr.eq(lhs.as_dict(), rhs.as_dict(),
+                          direction=k, monomial=key)
     gens = sp_rep.sp_gens_for(data)
-    pr = Probe()
-    pr.eq(exterior.gl_act(data, gens.i_prime, th).as_dict(),
-          (Fraction(-2) * th).as_dict(), acting="grading on theta")
-    pr.eq(exterior.gl_act(data, gens.i_prime, om).as_dict(),
-          (Fraction(-2) * om).as_dict(), acting="grading on omega")
-    for i in range(1, dim):
+    with suite.probe("exterior.gl_identities",
+                     "the grading element scales theta and omega by -2; "
+                     "raised elementary matrices send omega to monomials; the "
+                     "symplectic algebra kills both") as pr:
+        pr.eq(exterior.gl_act(data, gens.i_prime, th).as_dict(),
+              (Fraction(-2) * th).as_dict(), acting="grading on theta")
+        pr.eq(exterior.gl_act(data, gens.i_prime, om).as_dict(),
+              (Fraction(-2) * om).as_dict(), acting="grading on omega")
+        for i in range(1, dim):
+            for j in range(dim):
+                # e^{ij} in gl(d), including the column-0 case
+                full = [[ZERO] * dim for _ in range(dim)]
+                for k in range(1, dim):
+                    if data.rmat[i][k]:
+                        full[k][j] += data.rmat[i][k]
+                got = exterior.gl_act(data, tuple(map(tuple, full)), om)
+                want = exterior.wedge(exterior.one_form(i),
+                                      exterior.one_form(j))
+                pr.eq(got.as_dict(), want.as_dict(), raised=(i, j))
+        for (i, j), f in gens.f_raised.items():
+            full = sp_rep.embed_bar(data, f)
+            pr.check(exterior.gl_act(data, full, th).is_zero(),
+                     generator=(i, j), on="theta")
+            pr.check(exterior.gl_act(data, full, om).is_zero(),
+                     generator=(i, j), on="omega")
         for j in range(dim):
-            # e^{ij} in gl(d), including the column-0 case
-            full = [[ZERO] * dim for _ in range(dim)]
-            for k in range(1, dim):
-                if data.rmat[i][k]:
-                    full[k][j] += data.rmat[i][k]
-            got = exterior.gl_act(data, tuple(map(tuple, full)), om)
-            want = exterior.wedge(exterior.one_form(i), exterior.one_form(j))
-            pr.eq(got.as_dict(), want.as_dict(), raised=(i, j))
-    for (i, j), f in gens.f_raised.items():
-        full = sp_rep.embed_bar(data, f)
-        pr.check(exterior.gl_act(data, full, th).is_zero(),
-                 generator=(i, j), on="theta")
-        pr.check(exterior.gl_act(data, full, om).is_zero(),
-                 generator=(i, j), on="omega")
-    for j in range(dim):
-        full = [[ZERO] * dim for _ in range(dim)]
-        full[0][j] = ONE
-        pr.check(
-            exterior.gl_act(data, tuple(map(tuple, full)), om).is_zero(),
-            row_zero_matrix=j,
-        )
-    suite.record(
-        "exterior.gl_identities",
-        "the grading element scales theta and omega by -2; raised "
-        "elementary matrices send omega to monomials; the symplectic "
-        "algebra kills both",
-        *pr.result(),
-    )
-    pr = Probe()
-    for n in range(dim + 2):
-        if data.N + 1 <= n <= dim:
-            pr.eq(exterior.compute_I(data, n).rank,
-                  len(exterior.monomials(dim, n)), degree=n, space="ideal")
-        if n <= data.N:
-            pr.eq(len(exterior.compute_K(data, n)), 0, degree=n,
-                  space="kernel")
-    suite.record(
-        "exterior.reduction_ranges",
-        "the ideal fills the top half and the kernel the bottom half",
-        *pr.result(),
-    )
-    pr = Probe()
-    for m in range(data.N + 1):
-        pr.check(exterior.psi_bar_power_is_iso(data, m), power=m)
-    suite.record(
-        "exterior.psi_powers",
-        "wedge powers of omega are isomorphisms between barred levels",
-        *pr.result(),
-    )
-    pr = Probe()
-    for m in range(data.N + 1):
-        pr.check(exterior.lemma_composition_is_iso(data, m), power=m)
-    suite.record(
-        "exterior.kernel_quotient_iso",
-        "primitive kernels match barred quotients through omega powers",
-        *pr.result(),
-    )
-    pr = Probe()
-    for k in range(1, dim):
-        E = [[ZERO] * dim for _ in range(dim)]
-        E[k][0] = ONE
-        E = tuple(map(tuple, E))
-        for n in range(dim + 1):
-            ech = exterior.compute_I(data, n)
-            for key in exterior.monomials(dim, n):
-                img = exterior.gl_act(data, E, exterior.form(n, {key: ONE}))
-                pr.check(ech.contains(img.as_dict()), column=k, monomial=key)
-            for t, f in enumerate(exterior.compute_K(data, n)):
-                pr.check(exterior.gl_act(data, E, f).is_zero(),
-                         column=k, kernel_vector=(n, t))
-    suite.record(
-        "exterior.column_ideal",
-        "the abelian column algebra maps forms into the ideal and kills "
-        "the primitive kernels",
-        *pr.result(),
-    )
+            pr.check(exterior.gl_act(data, linalg.elementary(dim, 0, j),
+                                     om).is_zero(), row_zero_matrix=j)
+    with suite.probe("exterior.reduction_ranges",
+                     "the ideal fills the top half and the kernel the bottom "
+                     "half") as pr:
+        for n in range(dim + 2):
+            if data.N + 1 <= n <= dim:
+                pr.eq(exterior.compute_I(data, n).rank,
+                      len(exterior.monomials(dim, n)), degree=n, space="ideal")
+            if n <= data.N:
+                pr.eq(len(exterior.compute_K(data, n)), 0, degree=n,
+                      space="kernel")
+    with suite.probe("exterior.psi_powers",
+                     "wedge powers of omega are isomorphisms between barred "
+                     "levels") as pr:
+        for m in range(data.N + 1):
+            pr.check(exterior.psi_bar_power_is_iso(data, m), power=m)
+    with suite.probe("exterior.kernel_quotient_iso",
+                     "primitive kernels match barred quotients through omega "
+                     "powers") as pr:
+        for m in range(data.N + 1):
+            pr.check(exterior.lemma_composition_is_iso(data, m), power=m)
+    with suite.probe("exterior.column_ideal",
+                     "the abelian column algebra maps forms into the ideal "
+                     "and kills the primitive kernels") as pr:
+        for k in range(1, dim):
+            E = linalg.elementary(dim, k, 0)
+            for n in range(dim + 1):
+                ech = exterior.compute_I(data, n)
+                for key in exterior.monomials(dim, n):
+                    img = exterior.gl_act(data, E,
+                                          exterior.form(n, {key: ONE}))
+                    pr.check(ech.contains(img.as_dict()), column=k,
+                             monomial=key)
+                for t, f in enumerate(exterior.compute_K(data, n)):
+                    pr.check(exterior.gl_act(data, E, f).is_zero(),
+                             column=k, kernel_vector=(n, t))
     members = pfm.contact_complex_members(data)
     cx = pfm.constant_complex(
         members, pfm.contact_complex_hmats(env_mod.get_env(data), members))
@@ -397,397 +330,314 @@ def suite_exterior(suite, data):
 def suite_enveloping(suite, data, rng):
     dim = data.dim
     env = env_mod.get_env(data)
-    pr = Probe()
-    for i in range(dim):
-        for j in range(dim):
-            pr.eq(
-                env.bracket(env_mod.generator(dim, i),
-                            env_mod.generator(dim, j)),
-                env_mod.from_vector(
-                    data.bracket_vec(data.basis_vector(i),
-                                     data.basis_vector(j))
-                ),
-                pair=(i, j),
-            )
-    suite.record(
-        "enveloping.defining_relations",
-        "generator commutators match the structure constants",
-        *pr.result(),
-    )
+    with suite.probe("enveloping.defining_relations",
+                     "generator commutators match the structure "
+                     "constants") as pr:
+        for i in range(dim):
+            for j in range(dim):
+                pr.eq(
+                    env.bracket(env_mod.generator(dim, i),
+                                env_mod.generator(dim, j)),
+                    env_mod.from_vector(
+                        data.bracket_vec(data.basis_vector(i),
+                                         data.basis_vector(j))
+                    ),
+                    pair=(i, j),
+                )
     idx2 = env_mod.multi_indices(dim, 2)
-    pr = Probe()
-    for I in idx2:
-        for J in idx2:
-            left = env.mono_mul(I, J)
-            for K in idx2:
-                pr.eq(env.mul(left, {K: ONE}),
-                      env.mul({I: ONE}, env.mono_mul(J, K)),
-                      triple=(I, J, K))
-    suite.record(
-        "enveloping.associativity",
-        "multiplication is associative on all basis triples of plain "
-        "degree at most two per factor",
-        *pr.result(),
-    )
-    pr = Probe()
-    for I in idx2:
-        for J in idx2:
-            bound_c = env_mod.contact_degree(I) + env_mod.contact_degree(J)
-            bound_p = sum(I) + sum(J)
-            for K in env.mono_mul(I, J):
-                pr.check(env_mod.contact_degree(K) <= bound_c
-                         and sum(K) <= bound_p, factors=(I, J), term=K)
-    suite.record(
-        "enveloping.filtrations",
-        "products respect both the plain and the contact filtration",
-        *pr.result(),
-    )
+    with suite.probe("enveloping.associativity",
+                     "multiplication is associative on all basis triples of "
+                     "plain degree at most two per factor") as pr:
+        for I in idx2:
+            for J in idx2:
+                left = env.mono_mul(I, J)
+                for K in idx2:
+                    pr.eq(env.mul(left, {K: ONE}),
+                          env.mul({I: ONE}, env.mono_mul(J, K)),
+                          triple=(I, J, K))
+    with suite.probe("enveloping.filtrations",
+                     "products respect both the plain and the contact "
+                     "filtration") as pr:
+        for I in idx2:
+            for J in idx2:
+                bound_c = env_mod.contact_degree(I) + env_mod.contact_degree(J)
+                bound_p = sum(I) + sum(J)
+                for K in env.mono_mul(I, J):
+                    pr.check(env_mod.contact_degree(K) <= bound_c
+                             and sum(K) <= bound_p, factors=(I, J), term=K)
     suite.record(
         "enveloping.contact_contains_plain",
         "contact level two contains the whole degree-one part",
         all(env_mod.contact_degree(I) <= 2
             for I in env_mod.multi_indices(dim, 1)),
     )
-    pr = Probe()
-    for I in env_mod.multi_indices(dim, 3):
-        want = env_mod.unit(dim) if sum(I) == 0 else {}
-        acc, acc2 = {}, {}
-        for (J, K), c in env.coproduct({I: ONE}).items():
-            env_mod.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
-            env_mod.iadd(acc2, env.mul({J: ONE}, env.antipode_basis(K)), c)
-        pr.eq(acc, want, element=I, side="left")
-        pr.eq(acc2, want, element=I, side="right")
-    suite.record(
-        "enveloping.antipode_axiom",
-        "both antipode compositions return the counit on plain degree "
-        "at most three",
-        *pr.result(),
-    )
-    pr = Probe()
-    for _ in range(10):
-        I = rng.choice(env_mod.multi_indices(dim, 5))
-        acc = {}
-        for (J, K), c in env.coproduct({I: ONE}).items():
-            env_mod.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
-        pr.eq(acc, env_mod.unit(dim) if sum(I) == 0 else {}, element=I)
-    suite.record(
-        "enveloping.antipode_sampled",
-        "the antipode axiom holds on sampled plain degree up to five",
-        *pr.result(),
-    )
-    pr = Probe()
-    for I in env_mod.multi_indices(dim, 3):
-        left, right = {}, {}
-        for (J, K), c in env.coproduct({I: ONE}).items():
-            env_mod.iadd(left, {K: ONE}, c * env.counit({J: ONE}))
-            env_mod.iadd(right, {J: ONE}, c * env.counit({K: ONE}))
-        pr.eq(left, {I: ONE}, element=I, side="left")
-        pr.eq(right, {I: ONE}, element=I, side="right")
-    suite.record(
-        "enveloping.counit_axiom",
-        "collapsing either coproduct leg with the counit is the identity",
-        *pr.result(),
-    )
-    pr = Probe()
-    for I in env_mod.multi_indices(dim, 3):
-        acc = {}
-        for (J, K), c in env.coproduct({I: ONE}).items():
-            for (J1, J2), c2 in env.coproduct({J: ONE}).items():
-                for A, ca in env.mul(
-                        env.antipode_basis(J1), {J2: ONE}).items():
-                    key = (A, K)
-                    w = acc.get(key, ZERO) + c * c2 * ca
-                    if w:
-                        acc[key] = w
-                    else:
-                        acc.pop(key, None)
-        pr.eq(acc, {(env_mod.unit_index(dim), I): ONE}, element=I)
-    suite.record(
-        "enveloping.counit_triple",
-        "collapsing the first two legs of the double coproduct with the "
-        "antipode leaves 1 tensor the element",
-        *pr.result(),
-    )
-    pr = Probe()
-    for _ in range(10):
-        u = _rand_element(rng, dim, 2)
-        v = _rand_element(rng, dim, 2)
-        lhs = env.coproduct(env.mul(u, v))
-        rhs = {}
-        for (A1, B1), c1 in env.coproduct(u).items():
-            for (A2, B2), c2 in env.coproduct(v).items():
-                for A, ca in env.mono_mul(A1, A2).items():
-                    for B, cb in env.mono_mul(B1, B2).items():
-                        key = (A, B)
-                        w = rhs.get(key, ZERO) + c1 * c2 * ca * cb
-                        if w:
-                            rhs[key] = w
-                        else:
-                            rhs.pop(key, None)
-        pr.eq(lhs, rhs, factors=(u, v))
-    suite.record(
-        "enveloping.coproduct_algebra_map",
-        "the coproduct is multiplicative on sampled pairs",
-        *pr.result(),
-    )
-    pr = Probe()
+    with suite.probe("enveloping.antipode_axiom",
+                     "both antipode compositions return the counit on plain "
+                     "degree at most three") as pr:
+        for I in env_mod.multi_indices(dim, 3):
+            want = env_mod.unit(dim) if sum(I) == 0 else {}
+            acc, acc2 = {}, {}
+            for (J, K), c in env.coproduct({I: ONE}).items():
+                env_mod.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
+                env_mod.iadd(acc2, env.mul({J: ONE}, env.antipode_basis(K)), c)
+            pr.eq(acc, want, element=I, side="left")
+            pr.eq(acc2, want, element=I, side="right")
+    with suite.probe("enveloping.antipode_sampled",
+                     "the antipode axiom holds on sampled plain degree up to "
+                     "five") as pr:
+        for _ in range(10):
+            I = rng.choice(env_mod.multi_indices(dim, 5))
+            acc = {}
+            for (J, K), c in env.coproduct({I: ONE}).items():
+                env_mod.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
+            pr.eq(acc, env_mod.unit(dim) if sum(I) == 0 else {}, element=I)
+    with suite.probe("enveloping.counit_axiom",
+                     "collapsing either coproduct leg with the counit is the "
+                     "identity") as pr:
+        for I in env_mod.multi_indices(dim, 3):
+            left, right = {}, {}
+            for (J, K), c in env.coproduct({I: ONE}).items():
+                env_mod.iadd(left, {K: ONE}, c * env.counit({J: ONE}))
+                env_mod.iadd(right, {J: ONE}, c * env.counit({K: ONE}))
+            pr.eq(left, {I: ONE}, element=I, side="left")
+            pr.eq(right, {I: ONE}, element=I, side="right")
+    with suite.probe("enveloping.counit_triple",
+                     "collapsing the first two legs of the double coproduct "
+                     "with the antipode leaves 1 tensor the element") as pr:
+        for I in env_mod.multi_indices(dim, 3):
+            acc = {}
+            for (J, K), c in env.coproduct({I: ONE}).items():
+                for (J1, J2), c2 in env.coproduct({J: ONE}).items():
+                    for A, ca in env.mul(
+                            env.antipode_basis(J1), {J2: ONE}).items():
+                        linalg.vec_put(acc, (A, K), c * c2 * ca)
+            pr.eq(acc, {(env_mod.unit_index(dim), I): ONE}, element=I)
+    with suite.probe("enveloping.coproduct_algebra_map",
+                     "the coproduct is multiplicative on sampled pairs") as pr:
+        for _ in range(10):
+            u = _rand_element(rng, dim, 2)
+            v = _rand_element(rng, dim, 2)
+            lhs = env.coproduct(env.mul(u, v))
+            rhs = {}
+            for (A1, B1), c1 in env.coproduct(u).items():
+                for (A2, B2), c2 in env.coproduct(v).items():
+                    for A, ca in env.mono_mul(A1, A2).items():
+                        for B, cb in env.mono_mul(B1, B2).items():
+                            linalg.vec_put(rhs, (A, B), c1 * c2 * ca * cb)
+            pr.eq(lhs, rhs, factors=(u, v))
     t = 4
-    for i in range(dim):
-        for j in range(dim):
-            res = env_mod.d_left(env, data.basis_vector(i),
-                                 env_mod.dual_covector(dim, j, t))
-            want = {}
-            if i == j:
-                want[env_mod.unit_index(dim)] = -ONE
-            for k in range(i):
-                c = data.c[i][k][j]
-                if c:
-                    key = tuple(env_mod.eps(dim, k))
-                    want[key] = want.get(key, ZERO) - c
-            got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
-            pr.eq(got, {k: v for k, v in want.items() if v},
-                  action="left", pair=(i, j))
-            res = env_mod.d_right(env, env_mod.dual_covector(dim, j, t),
-                                  data.basis_vector(i))
-            want = {}
-            if i == j:
-                want[env_mod.unit_index(dim)] = -ONE
-            for k in range(i + 1, dim):
-                c = data.c[i][k][j]
-                if c:
-                    key = tuple(env_mod.eps(dim, k))
-                    want[key] = want.get(key, ZERO) + c
-            got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
-            pr.eq(got, {k: v for k, v in want.items() if v},
-                  action="right", pair=(i, j))
-    suite.record(
-        "enveloping.dual_actions",
-        "both actions on dual covectors have the stated linear parts",
-        *pr.result(),
-    )
-    pr = Probe()
-    for i in range(dim):
-        for j in range(dim):
-            x = env_mod.dual_covector(dim, j, 5)
-            left = env_mod.d_left(env, data.basis_vector(i), x)
-            right = env_mod.d_right(env, x, data.basis_vector(i))
-            diff = left.add(right.scale(-ONE))
-            g = env_mod.generator(dim, i)
-            for J in env_mod.contact_indices(dim, diff.truncation):
-                br = env.bracket(g, {J: ONE})
-                pr.eq(diff.coeffs.get(J, ZERO), -env.dual_pair(x, br),
-                      pair=(i, j), at=J)
-    suite.record(
-        "enveloping.coadjoint_difference",
-        "the two dual actions differ exactly by the coadjoint action",
-        *pr.result(),
-    )
+    with suite.probe("enveloping.dual_actions",
+                     "both actions on dual covectors have the stated linear "
+                     "parts") as pr:
+        for i in range(dim):
+            for j in range(dim):
+                res = env_mod.d_left(env, data.basis_vector(i),
+                                     env_mod.dual_covector(dim, j, t))
+                want = {}
+                if i == j:
+                    want[env_mod.unit_index(dim)] = -ONE
+                for k in range(i):
+                    c = data.c[i][k][j]
+                    if c:
+                        key = tuple(env_mod.eps(dim, k))
+                        want[key] = want.get(key, ZERO) - c
+                got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
+                pr.eq(got, {k: v for k, v in want.items() if v},
+                      action="left", pair=(i, j))
+                res = env_mod.d_right(env, env_mod.dual_covector(dim, j, t),
+                                      data.basis_vector(i))
+                want = {}
+                if i == j:
+                    want[env_mod.unit_index(dim)] = -ONE
+                for k in range(i + 1, dim):
+                    c = data.c[i][k][j]
+                    if c:
+                        key = tuple(env_mod.eps(dim, k))
+                        want[key] = want.get(key, ZERO) + c
+                got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
+                pr.eq(got, {k: v for k, v in want.items() if v},
+                      action="right", pair=(i, j))
+    with suite.probe("enveloping.coadjoint_difference",
+                     "the two dual actions differ exactly by the coadjoint "
+                     "action") as pr:
+        for i in range(dim):
+            for j in range(dim):
+                x = env_mod.dual_covector(dim, j, 5)
+                left = env_mod.d_left(env, data.basis_vector(i), x)
+                right = env_mod.d_right(env, x, data.basis_vector(i))
+                diff = left.add(right.scale(-ONE))
+                g = env_mod.generator(dim, i)
+                for J in env_mod.contact_indices(dim, diff.truncation):
+                    br = env.bracket(g, {J: ONE})
+                    pr.eq(diff.coeffs.get(J, ZERO), -env.dual_pair(x, br),
+                          pair=(i, j), at=J)
     gens = [env_mod.generator(dim, i) for i in range(dim)]
-    pr = Probe()
-    if dim == 3:
-        triples = list(itertools.product(range(dim), repeat=3))
-        quads = list(itertools.product(range(dim), repeat=4))
-    else:
-        triples = [tuple(rng.randrange(dim) for _ in range(3))
-                   for _ in range(24)]
-        quads = [tuple(rng.randrange(dim) for _ in range(4))
-                 for _ in range(24)]
-    for t3 in triples:
-        pr.check(
-            env_mod.symmetrization_identity_check(
-                env, gens[t3[0]], gens[t3[1]], gens[t3[2]]),
-            triple=t3,
-        )
-    for t4 in quads:
-        pr.check(
-            env_mod.symmetrization_identity_check(
-                env, gens[t4[0]], gens[t4[1]], gens[t4[2]], gens[t4[3]]),
-            quadruple=t4,
-        )
-    suite.record(
-        "enveloping.symmetrization",
-        "ordered products expand into symmetrized commutator corrections",
-        *pr.result(),
-    )
+    with suite.probe("enveloping.symmetrization",
+                     "ordered products expand into symmetrized commutator "
+                     "corrections") as pr:
+        if dim == 3:
+            triples = list(itertools.product(range(dim), repeat=3))
+            quads = list(itertools.product(range(dim), repeat=4))
+        else:
+            triples = [tuple(rng.randrange(dim) for _ in range(3))
+                       for _ in range(24)]
+            quads = [tuple(rng.randrange(dim) for _ in range(4))
+                     for _ in range(24)]
+        for t3 in triples:
+            pr.check(
+                env_mod.symmetrization_identity_check(
+                    env, gens[t3[0]], gens[t3[1]], gens[t3[2]]),
+                triple=t3,
+            )
+        for t4 in quads:
+            pr.check(
+                env_mod.symmetrization_identity_check(
+                    env, gens[t4[0]], gens[t4[1]], gens[t4[2]], gens[t4[3]]),
+                quadruple=t4,
+            )
 
 
 def suite_sp(suite, data):
     dim = data.dim
     gens = sp_rep.sp_gens_for(data)
-    sys_ = linalg.LinearSystem()
-    for (i, j), f in gens.f_raised.items():
-        sys_.add_column(
-            (i, j),
-            {(r, c): f[r][c] for r in range(dim - 1) for c in range(dim - 1)
-             if f[r][c]},
-        )
-    pr = Probe()
-    pr.eq(sys_.image_rank(), sp_rep.sp_dimension(data), part="count")
-    for (i, j), f in gens.f_raised.items():
-        pr.check(sp_rep.is_symplectic_matrix(data, f), generator=(i, j))
-    suite.record(
-        "sp.basis",
-        "the symmetric raised generators are independent of the right "
-        "count and preserve the form",
-        *pr.result(),
-    )
-    pr = Probe()
-    for (i, j) in itertools.product(range(1, dim), repeat=2):
-        for (k, l) in itertools.product(range(1, dim), repeat=2):
-            lhs = linalg.commutator(gens.e_raised[(i, j)],
-                                    gens.e_raised[(k, l)])
-            rhs = linalg.mat_sub(
-                linalg.mat_scale(gens.e_raised[(i, l)], data.rmat[k][j]),
-                linalg.mat_scale(gens.e_raised[(k, j)], data.rmat[i][l]),
-            )
-            pr.eq(lhs, rhs, raised=(i, j, k, l))
-            lhs = linalg.commutator(gens.f(i, j), gens.f(k, l))
-            rhs = linalg.zeros(dim - 1)
-            for rr, ff in (
-                (data.rmat[i][k], gens.f(j, l)),
-                (data.rmat[i][l], gens.f(j, k)),
-                (data.rmat[j][k], gens.f(i, l)),
-                (data.rmat[j][l], gens.f(i, k)),
-            ):
-                rhs = linalg.mat_add(rhs, linalg.mat_scale(ff, Fraction(rr, 2)))
-            pr.eq(lhs, rhs, symmetric=(i, j, k, l))
-    suite.record(
-        "sp.bracket_tables",
-        "raised and symmetric generators have the stated bracket tables",
-        *pr.result(),
-    )
-    pr = Probe()
-    for (i, j), e in gens.e_raised.items():
-        pr.eq(linalg.trace(e), data.rmat[i][j], generator=(i, j))
-    suite.record(
-        "sp.trace_raised",
-        "the trace of a raised elementary matrix is the r coefficient",
-        *pr.result(),
-    )
-    pr = Probe()
-    for i in range(1, dim):
-        h_, e_, f_ = gens.sl2_triple(i)
-        pr.eq(linalg.commutator(h_, e_), linalg.mat_scale(e_, 2), index=i,
-              relation="[h,e]=2e")
-        pr.eq(linalg.commutator(h_, f_), linalg.mat_scale(f_, -2), index=i,
-              relation="[h,f]=-2f")
-        pr.eq(linalg.commutator(e_, f_), h_, index=i, relation="[e,f]=h")
-        pr.eq(linalg.commutator(gens.f_lower_one(i, i), gens.f(i, i)),
-              gens.f(i, i), index=i, relation="mixed-lowered")
-    suite.record("sp.sl2_triples", "each index yields a standard triple",
-                 *pr.result())
-    pr = Probe()
-    for i in range(1, dim):
-        for j in range(1, dim):
-            fij = gens.f_lower_two(i, j)
-            for k in range(1, dim):
-                for l in range(1, dim):
-                    want = Fraction(-1, 2) * (
-                        (1 if (i == l and j == k) else 0)
-                        + (1 if (i == k and j == l) else 0)
-                    )
-                    pr.eq(linalg.trace(linalg.mat_mul(fij, gens.f(k, l))),
-                          want, indices=(i, j, k, l))
-    suite.record(
-        "sp.trace_form",
-        "the trace form of lowered against raised generators is "
-        "minus one half the symmetrized Kronecker pairing",
-        *pr.result(),
-    )
+    with suite.probe("sp.basis",
+                     "the symmetric raised generators are independent of the "
+                     "right count and preserve the form") as pr:
+        pr.eq(sp_rep.f_system(data, gens).image_rank(),
+              sp_rep.sp_dimension(data), part="count")
+        for (i, j), f in gens.f_raised.items():
+            pr.check(sp_rep.is_symplectic_matrix(data, f), generator=(i, j))
+    with suite.probe("sp.bracket_tables",
+                     "raised and symmetric generators have the stated bracket "
+                     "tables") as pr:
+        for (i, j) in itertools.product(range(1, dim), repeat=2):
+            for (k, l) in itertools.product(range(1, dim), repeat=2):
+                lhs = linalg.commutator(gens.e_raised[(i, j)],
+                                        gens.e_raised[(k, l)])
+                rhs = linalg.mat_sub(
+                    linalg.mat_scale(gens.e_raised[(i, l)], data.rmat[k][j]),
+                    linalg.mat_scale(gens.e_raised[(k, j)], data.rmat[i][l]),
+                )
+                pr.eq(lhs, rhs, raised=(i, j, k, l))
+                lhs = linalg.commutator(gens.f(i, j), gens.f(k, l))
+                rhs = linalg.zeros(dim - 1)
+                for rr, ff in (
+                    (data.rmat[i][k], gens.f(j, l)),
+                    (data.rmat[i][l], gens.f(j, k)),
+                    (data.rmat[j][k], gens.f(i, l)),
+                    (data.rmat[j][l], gens.f(i, k)),
+                ):
+                    rhs = linalg.mat_add(
+                        rhs, linalg.mat_scale(ff, Fraction(rr, 2)))
+                pr.eq(lhs, rhs, symmetric=(i, j, k, l))
+    with suite.probe("sp.trace_raised",
+                     "the trace of a raised elementary matrix is the r "
+                     "coefficient") as pr:
+        for (i, j), e in gens.e_raised.items():
+            pr.eq(linalg.trace(e), data.rmat[i][j], generator=(i, j))
+    with suite.probe("sp.sl2_triples",
+                     "each index yields a standard triple") as pr:
+        for i in range(1, dim):
+            h_, e_, f_ = gens.sl2_triple(i)
+            pr.eq(linalg.commutator(h_, e_), linalg.mat_scale(e_, 2), index=i,
+                  relation="[h,e]=2e")
+            pr.eq(linalg.commutator(h_, f_), linalg.mat_scale(f_, -2), index=i,
+                  relation="[h,f]=-2f")
+            pr.eq(linalg.commutator(e_, f_), h_, index=i, relation="[e,f]=h")
+            pr.eq(linalg.commutator(gens.f_lower_one(i, i), gens.f(i, i)),
+                  gens.f(i, i), index=i, relation="mixed-lowered")
+    with suite.probe("sp.trace_form",
+                     "the trace form of lowered against raised generators is "
+                     "minus one half the symmetrized Kronecker pairing") as pr:
+        for i in range(1, dim):
+            for j in range(1, dim):
+                fij = gens.f_lower_two(i, j)
+                for k in range(1, dim):
+                    for l in range(1, dim):
+                        want = Fraction(-1, 2) * (
+                            (1 if (i == l and j == k) else 0)
+                            + (1 if (i == k and j == l) else 0)
+                        )
+                        pr.eq(linalg.trace(linalg.mat_mul(fij, gens.f(k, l))),
+                              want, indices=(i, j, k, l))
     ds = contact_lie.with_symplectic_basis(data)
     gs = sp_rep.sp_gens_for(ds)
-    pr = Probe()
-    for i in range(1, ds.N + 1):
-        pr.eq(
-            gs.sl2_triple(i)[0],
-            linalg.mat_sub(
-                sp_rep.elementary_bar(ds.dim, i, i),
-                sp_rep.elementary_bar(ds.dim, ds.N + i, ds.N + i),
-            ),
-            index=i,
-        )
-    suite.record(
-        "sp.cartan_diagonal",
-        "in a standard frame the triple elements are diagonal differences",
-        *pr.result(),
-    )
-    pr = Probe()
-    dims_pr = Probe()
-    for n in range(data.N + 1):
-        rep = sp_rep.fundamental_rep(data, gens, n)
-        dims_pr.eq(rep.dim, sp_rep.fundamental_dim(data.N, n), weight=n)
-        cas = sp_rep.casimir_apply(data, gens, rep)
-        pr.eq(sp_rep.scalar_matrix_value(cas),
-              Fraction(n * (2 * data.N + 2 - n), 2), weight=n)
-        for (key, fm) in rep.fmats:
-            pr.check(
-                linalg.commutator(cas, fm) == linalg.zeros(rep.dim),
-                weight=n, commutes_with=key,
+    with suite.probe("sp.cartan_diagonal",
+                     "in a standard frame the triple elements are diagonal "
+                     "differences") as pr:
+        for i in range(1, ds.N + 1):
+            pr.eq(
+                gs.sl2_triple(i)[0],
+                linalg.mat_sub(
+                    sp_rep.elementary_bar(ds.dim, i, i),
+                    sp_rep.elementary_bar(ds.dim, ds.N + i, ds.N + i),
+                ),
+                index=i,
             )
-    suite.record(
-        "sp.casimir",
-        "the Casimir is the scalar n(2N+2-n)/2 on each fundamental "
-        "representation and commutes with the generators",
-        *pr.result(),
-    )
-    suite.record(
-        "sp.fundamental_dims",
-        "fundamental representations have binomial-difference dimensions",
-        *dims_pr.result(),
-    )
-    pr = Probe()
-    for k in range(dim):
-        m = sp_rep.ad_sp(data, k)
-        pr.check(sp_rep.is_symplectic_matrix(data, m), direction=k)
-        pr.eq(linalg.trace(m), ZERO, direction=k)
-    pr.eq(sp_rep.ad_sp(data, 0),
-          tuple(tuple(r[1:]) for r in data.ad_matrix(0)[1:]),
-          direction="distinguished")
-    suite.record(
-        "sp.projected_adjoint",
-        "the projected adjoint lands in the symplectic algebra and "
-        "restricts the distinguished direction faithfully",
-        *pr.result(),
-    )
-    pr = Probe()
-    for p in range(1, data.N + 1):
+    with suite.probe("sp.fundamental_dims",
+                     "fundamental representations have binomial-difference "
+                     "dimensions") as dims_pr:
+        with suite.probe("sp.casimir",
+                         "the Casimir is the scalar n(2N+2-n)/2 on each "
+                         "fundamental representation and commutes with the "
+                         "generators") as pr:
+            for n in range(data.N + 1):
+                rep = sp_rep.fundamental_rep(data, gens, n)
+                dims_pr.eq(rep.dim, sp_rep.fundamental_dim(data.N, n),
+                           weight=n)
+                cas = sp_rep.casimir_apply(data, gens, rep)
+                pr.eq(sp_rep.scalar_matrix_value(cas),
+                      Fraction(n * (2 * data.N + 2 - n), 2), weight=n)
+                for (key, fm) in rep.fmats:
+                    pr.check(
+                        linalg.commutator(cas, fm) == linalg.zeros(rep.dim),
+                        weight=n, commutes_with=key,
+                    )
+    with suite.probe("sp.projected_adjoint",
+                     "the projected adjoint lands in the symplectic algebra "
+                     "and restricts the distinguished direction "
+                     "faithfully") as pr:
+        for k in range(dim):
+            m = sp_rep.ad_sp(data, k)
+            pr.check(sp_rep.is_symplectic_matrix(data, m), direction=k)
+            pr.eq(linalg.trace(m), ZERO, direction=k)
+        pr.eq(sp_rep.ad_sp(data, 0),
+              tuple(tuple(r[1:]) for r in data.ad_matrix(0)[1:]),
+              direction="distinguished")
+    with suite.probe("sp.symmetrized_relation",
+                     "the symmetrized quadratic relation holds on "
+                     "fundamentals and fails on the doubled-weight "
+                     "module") as pr:
+        for p in range(1, data.N + 1):
+            pr.check(
+                sp_rep.find_cryptic_witness(
+                    sp_rep.fundamental_rep(data, gens, p)) is None,
+                weight=p,
+            )
         pr.check(
-            sp_rep.find_cryptic_witness(
-                sp_rep.fundamental_rep(data, gens, p)) is None,
-            weight=p,
+            sp_rep.find_cryptic_witness(sp_rep.trivial_rep(data, gens))
+            is None,
+            weight=0,
         )
-    pr.check(
-        sp_rep.find_cryptic_witness(sp_rep.trivial_rep(data, gens)) is None,
-        weight=0,
-    )
-    witness = sp_rep.find_cryptic_witness(sp_rep.sym_square_rep(data, gens))
-    pr.check(witness is not None, module="sym2",
-             expected="a violating quadruple")
-    suite.record(
-        "sp.symmetrized_relation",
-        "the symmetrized quadratic relation holds on fundamentals and "
-        "fails on the doubled-weight module",
-        pr.ok,
-        pr.witness if pr.witness else {"sym2_witness": witness},
-    )
+        pr.check(
+            sp_rep.find_cryptic_witness(sp_rep.sym_square_rep(data, gens))
+            is not None,
+            module="sym2", expected="a violating quadruple",
+        )
     suite.record(
         "sp.graded_nilpotency",
         "the symmetrized relations force fourth-power nilpotency in the "
         "associated graded algebra",
         sp_rep.graded_nilpotency_certificate(),
     )
-    pr = Probe()
-    for n in range(2 * data.N + 1):
-        for key in exterior.bar_monomials(dim, n):
-            f = exterior.form(n, {key: ONE})
-            got = exterior.gl_act(data, gens.i_prime, f)
-            pr.eq(got.as_dict(), (Fraction(-n) * f).as_dict(),
-                  degree=n, monomial=key)
-    suite.record(
-        "sp.grading_scalar",
-        "the grading element scales barred n-forms by -n",
-        *pr.result(),
-    )
+    with suite.probe("sp.grading_scalar",
+                     "the grading element scales barred n-forms by -n") as pr:
+        for n in range(2 * data.N + 1):
+            for key in exterior.bar_monomials(dim, n):
+                f = exterior.form(n, {key: ONE})
+                got = exterior.gl_act(data, gens.i_prime, f)
+                pr.eq(got.as_dict(), (Fraction(-n) * f).as_dict(),
+                      degree=n, monomial=key)
 
 
 def suite_rumin(suite, data, rng, degree_bound, trials, twist):
@@ -801,115 +651,95 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
         d_one == (-ONE) * pfm.eps_pseudoform(dim),
         {"got": d_one.as_dict()},
     )
-    pr = Probe()
     spanning_bound = min(degree_bound - 1, 3)
-    for n in range(dim + 1):
-        for I in env_mod.multi_indices(dim, spanning_bound):
-            for S in exterior.monomials(dim, n):
-                a = pfm.pform(n, {(I, S): ONE})
-                dd = pfm.pseudo_d(env, pfm.pseudo_d(env, a))
-                pr.check(dd.is_zero(), element=(I, S), d_squared=dd.as_dict())
-    suite.record(
-        "rumin.d_squared",
-        "the pseudoform differential squares to zero on a spanning set",
-        *pr.result(),
-    )
-    pr = Probe()
-    for _ in range(10):
-        hh = _rand_element(rng, dim, 2, 1) or env_mod.unit(dim)
-        n = rng.randint(0, dim - 1)
-        a = pfm.pform(
-            n,
-            {(rng.choice(env_mod.multi_indices(dim, 2)),
-              rng.choice(exterior.monomials(dim, n))):
-             Fraction(rng.randint(-2, 2))},
-        )
-        pr.eq(
-            pfm.pseudo_d(env, pfm.h_mul_pf(env, hh, a)).as_dict(),
-            pfm.h_mul_pf(env, hh, pfm.pseudo_d(env, a)).as_dict(),
-            coefficient=hh, element=a.as_dict(),
-        )
-    suite.record(
-        "rumin.h_linearity",
-        "the differential commutes with coefficient multiplication",
-        *pr.result(),
-    )
+    with suite.probe("rumin.d_squared",
+                     "the pseudoform differential squares to zero on a "
+                     "spanning set") as pr:
+        for n in range(dim + 1):
+            for I in env_mod.multi_indices(dim, spanning_bound):
+                for S in exterior.monomials(dim, n):
+                    a = pfm.pform(n, {(I, S): ONE})
+                    dd = pfm.pseudo_d(env, pfm.pseudo_d(env, a))
+                    pr.check(dd.is_zero(), element=(I, S),
+                             d_squared=dd.as_dict())
+    with suite.probe("rumin.h_linearity",
+                     "the differential commutes with coefficient "
+                     "multiplication") as pr:
+        for _ in range(10):
+            hh = _rand_element(rng, dim, 2, 1) or env_mod.unit(dim)
+            n = rng.randint(0, dim - 1)
+            a = pfm.pform(
+                n,
+                {(rng.choice(env_mod.multi_indices(dim, 2)),
+                  rng.choice(exterior.monomials(dim, n))):
+                 Fraction(rng.randint(-2, 2))},
+            )
+            pr.eq(
+                pfm.pseudo_d(env, pfm.h_mul_pf(env, hh, a)).as_dict(),
+                pfm.h_mul_pf(env, hh, pfm.pseudo_d(env, a)).as_dict(),
+                coefficient=hh, element=a.as_dict(),
+            )
     suite.record(
         "rumin.wedge_relations",
         "the differential intertwines the two wedge operators as stated",
         pfm.relations_check(env, min(spanning_bound, 2)),
     )
-    pr = Probe()
     epsf = pfm.eps_pseudoform(dim)
-    for n in range(dim + 1):
-        for I in env_mod.multi_indices(dim, 2):
-            for S in exterior.monomials(dim, n):
-                a = pfm.pform(n, {(I, S): ONE})
-                lhs = pfm.pseudo_d(env, a) - pfm.d0_h(env, a)
-                sign = -ONE if n % 2 == 0 else ONE
-                rhs = sign * pfm.wedge_pseudo(env, a, epsf)
-                pr.eq(lhs.as_dict(), rhs.as_dict(), element=(I, S))
-    suite.record(
-        "rumin.eps_relation",
-        "the differential minus its constant part wedges with the "
-        "tautological form (coefficients kept in written order)",
-        *pr.result(),
-    )
+    with suite.probe("rumin.eps_relation",
+                     "the differential minus its constant part wedges with "
+                     "the tautological form (coefficients kept in written "
+                     "order)") as pr:
+        for n in range(dim + 1):
+            for I in env_mod.multi_indices(dim, 2):
+                for S in exterior.monomials(dim, n):
+                    a = pfm.pform(n, {(I, S): ONE})
+                    lhs = pfm.pseudo_d(env, a) - pfm.d0_h(env, a)
+                    sign = -ONE if n % 2 == 0 else ONE
+                    rhs = sign * pfm.wedge_pseudo(env, a, epsf)
+                    pr.eq(lhs.as_dict(), rhs.as_dict(), element=(I, S))
     nn = data.N
-    pr = Probe()
-    for _ in range(trials // 2 or 5):
-        terms = {}
-        for _k in range(2):
-            terms[(rng.choice(env_mod.multi_indices(dim, 2)),
-                   rng.choice(exterior.monomials(dim, nn)))] = \
-                Fraction(rng.randint(-3, 3))
-        a = pfm.pform(nn, terms)
-        r1 = pfm.rumin_map(env, a)
-        pr.eq(r1.as_dict(), pfm.rumin_map(env, a, reverse=True).as_dict(),
-              element=a.as_dict())
-        pr.check(pfm.in_K_pseudo(env, r1), element=a.as_dict(),
-                 image=r1.as_dict())
-    suite.record(
-        "rumin.completion_independent",
-        "the second-order map is independent of the pivoting order and "
-        "lands in the primitive part",
-        *pr.result(),
-    )
-    pr = Probe()
-    for _ in range(trials // 2 or 5):
-        mu = pfm.pform(
-            nn - 1,
-            {(rng.choice(env_mod.multi_indices(dim, 2)),
-              rng.choice(exterior.monomials(dim, nn - 1))):
-             Fraction(rng.randint(-3, 3))},
-        )
-        a = pfm.theta_mul_p(env, mu)
-        if nn >= 2:
-            rho = pfm.pform(
-                nn - 2,
+    with suite.probe("rumin.completion_independent",
+                     "the second-order map is independent of the pivoting "
+                     "order and lands in the primitive part") as pr:
+        for _ in range(max(1, trials // 2)):
+            terms = {}
+            for _k in range(2):
+                terms[(rng.choice(env_mod.multi_indices(dim, 2)),
+                       rng.choice(exterior.monomials(dim, nn)))] = \
+                    Fraction(rng.randint(-3, 3))
+            a = pfm.pform(nn, terms)
+            r1 = pfm.rumin_map(env, a)
+            pr.eq(r1.as_dict(), pfm.rumin_map(env, a, reverse=True).as_dict(),
+                  element=a.as_dict())
+            pr.check(pfm.in_K_pseudo(env, r1), element=a.as_dict(),
+                     image=r1.as_dict())
+    with suite.probe("rumin.vanishes_on_ideal",
+                     "the second-order map kills the ideal part") as pr:
+        for _ in range(max(1, trials // 2)):
+            mu = pfm.pform(
+                nn - 1,
                 {(rng.choice(env_mod.multi_indices(dim, 2)),
-                  rng.choice(exterior.monomials(dim, nn - 2))):
+                  rng.choice(exterior.monomials(dim, nn - 1))):
                  Fraction(rng.randint(-3, 3))},
             )
-            a = a + pfm.omega_mul_p(env, rho)
-        got = pfm.rumin_map(env, a)
-        pr.check(got.is_zero(), element=a.as_dict(), image=got.as_dict())
-    suite.record(
-        "rumin.vanishes_on_ideal",
-        "the second-order map kills the ideal part",
-        *pr.result(),
-    )
+            a = pfm.theta_mul_p(env, mu)
+            if nn >= 2:
+                rho = pfm.pform(
+                    nn - 2,
+                    {(rng.choice(env_mod.multi_indices(dim, 2)),
+                      rng.choice(exterior.monomials(dim, nn - 2))):
+                     Fraction(rng.randint(-3, 3))},
+                )
+                a = a + pfm.omega_mul_p(env, rho)
+            got = pfm.rumin_map(env, a)
+            pr.check(got.is_zero(), element=a.as_dict(), image=got.as_dict())
     members = pfm.contact_complex_members(data)
     hmats = pfm.contact_complex_hmats(env, members)
-    pr = Probe()
-    for i in range(len(hmats) - 1):
-        comp = pfm.compose_hmats(env, hmats[i], hmats[i + 1])
-        pr.check(pfm.hmat_is_zero(comp), position=i, composition=comp)
-    suite.record(
-        "rumin.complex_compositions",
-        "consecutive contact-complex maps compose to zero",
-        *pr.result(),
-    )
+    with suite.probe("rumin.complex_compositions",
+                     "consecutive contact-complex maps compose to zero") as pr:
+        for i in range(len(hmats) - 1):
+            comp = pfm.compose_hmats(env, hmats[i], hmats[i + 1])
+            pr.check(pfm.hmat_is_zero(comp), position=i, composition=comp)
     suite.info(
         "rumin.member_dims",
         "carrier dimensions along the contact complex",
@@ -919,31 +749,28 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
     # is trivial, the homomorphism checks too (the twisted maps `tw` are
     # then the plain ones, as rumin.twist_trivial checks)
     specs = [palg.member_tensor_spec(data, mem) for mem in members]
-    pr = Probe()
-    for mi, (mem, spec) in enumerate(zip(members, specs)):
-        for gi, f in enumerate(mem.basis):
-            direct = pfm.e_star_direct(env, pfm.pf_from_form(dim, f))
-            grouped = {}
-            for (F, G, T), c in direct.items():
-                grouped.setdefault((F, G), {})[T] = c
-            raw = {}
-            for (F, G), coeffs in grouped.items():
-                cform = exterior.form(mem.degree, coeffs)
-                for idx, cc in mem.form_coords(cform).items():
-                    key = (F, G, ((0,) * dim, idx))
-                    raw[key] = raw.get(key, ZERO) + cc
-            raw = {k: v for k, v in raw.items() if v}
-            lhs = palg.to_left_normal(env, raw)
-            rhs = palg.to_left_normal(
-                env, palg.e_star_raw(spec, {((0,) * dim, gi): ONE})
-            )
-            pr.eq(lhs.terms, rhs.terms, member=mi, generator=gi)
-    suite.record(
-        "rumin.member_actions",
-        "tensor-module actions on the carriers match the action computed "
-        "directly from the embedding into the derivation pseudoalgebra",
-        *pr.result(),
-    )
+    with suite.probe("rumin.member_actions",
+                     "tensor-module actions on the carriers match the action "
+                     "computed directly from the embedding into the "
+                     "derivation pseudoalgebra") as pr:
+        for mi, (mem, spec) in enumerate(zip(members, specs)):
+            for gi, f in enumerate(mem.basis):
+                direct = pfm.e_star_direct(env, pfm.pf_from_form(dim, f))
+                grouped = {}
+                for (F, G, T), c in direct.items():
+                    grouped.setdefault((F, G), {})[T] = c
+                raw = {}
+                for (F, G), coeffs in grouped.items():
+                    cform = exterior.form(mem.degree, coeffs)
+                    for idx, cc in mem.form_coords(cform).items():
+                        key = (F, G, ((0,) * dim, idx))
+                        raw[key] = raw.get(key, ZERO) + cc
+                raw = {k: v for k, v in raw.items() if v}
+                lhs = palg.to_left_normal(env, raw)
+                rhs = palg.to_left_normal(
+                    env, palg.e_star_raw(spec, {((0,) * dim, gi): ONE})
+                )
+                pr.eq(lhs, rhs, member=mi, generator=gi)
     for term in range(1, len(members) - 1):
         rep = pfm.sample_exactness(env, members, hmats, term, degree_bound)
         suite.record(
@@ -957,88 +784,71 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
     # coordinates; the middle map first completes f to f - theta ^ gamma,
     # where d0(f) = theta ^ beta + omega ^ gamma
     cx = pfm.constant_complex(members, hmats)
-    pr = Probe()
-    for i, cols in enumerate(cx.maps):
-        for s_idx, f in enumerate(members[i].basis):
-            if i == data.N:
-                _beta, gamma = exterior.solve_theta_omega(
-                    data, data.N + 1, exterior.d0(data, f))
-                f = f - exterior.theta_mul(data, gamma)
-            want = members[i + 1].form_coords(exterior.d0(data, f))
-            pr.check(cols[s_idx] == want, position=i, column=s_idx,
-                     got=cols[s_idx], want=want)
-    suite.record(
-        "rumin.constant_is_d0",
-        "the constant contact complex is d0, completed by theta ^ gamma "
-        "at the middle map",
-        *pr.result(),
-    )
+    with suite.probe("rumin.constant_is_d0",
+                     "the constant contact complex is d0, completed by theta "
+                     "^ gamma at the middle map") as pr:
+        for i, cols in enumerate(cx.maps):
+            for s_idx, f in enumerate(members[i].basis):
+                if i == data.N:
+                    _beta, gamma = exterior.solve_theta_omega(
+                        data, data.N + 1, exterior.d0(data, f))
+                    f = f - exterior.theta_mul(data, gamma)
+                want = members[i + 1].form_coords(exterior.d0(data, f))
+                pr.check(cols[s_idx] == want, position=i, column=s_idx,
+                         got=cols[s_idx], want=want)
     # twisting checks
-    pr = Probe()
-    for _ in range(5):
-        A, B = {}, {}
-        for target, n_tgt in ((A, 2), (B, 3)):
-            for i in range(2):
-                for j in range(n_tgt):
-                    if rng.random() < 0.7:
-                        h = _rand_element(rng, dim, 2, 1)
-                        if h:
-                            target[(i, j)] = h
-        lhs = pfm.twist_hmat(env, twist, pfm.compose_hmats(env, A, B), 2, 3)
-        rhs = pfm.compose_hmats(
-            env,
-            pfm.twist_hmat(env, twist, A, 2, 2),
-            pfm.twist_hmat(env, twist, B, 2, 3),
-        )
-        pr.eq(lhs, rhs, first=A, second=B)
-    suite.record(
-        "rumin.twist_functorial",
-        "twisting commutes with composition on sampled module maps",
-        *pr.result(),
-    )
+    with suite.probe("rumin.twist_functorial",
+                     "twisting commutes with composition on sampled module "
+                     "maps") as pr:
+        for _ in range(5):
+            A, B = {}, {}
+            for target, n_tgt in ((A, 2), (B, 3)):
+                for i in range(2):
+                    for j in range(n_tgt):
+                        if rng.random() < 0.7:
+                            h = _rand_element(rng, dim, 2, 1)
+                            if h:
+                                target[(i, j)] = h
+            lhs = pfm.twist_hmat(env, twist, pfm.compose_hmats(env, A, B),
+                                 2, 3)
+            rhs = pfm.compose_hmats(
+                env,
+                pfm.twist_hmat(env, twist, A, 2, 2),
+                pfm.twist_hmat(env, twist, B, 2, 3),
+            )
+            pr.eq(lhs, rhs, first=A, second=B)
     triv = pfm.trivial_twist(data)
-    pr = Probe()
-    for i in range(len(hmats)):
-        pr.eq(
-            pfm.twist_hmat(env, triv, hmats[i], members[i].dim,
-                           members[i + 1].dim),
-            hmats[i], position=i,
-        )
-    suite.record(
-        "rumin.twist_trivial",
-        "twisting by the trivial module is the identity on maps",
-        *pr.result(),
-    )
+    with suite.probe("rumin.twist_trivial",
+                     "twisting by the trivial module is the identity on "
+                     "maps") as pr:
+        for i in range(len(hmats)):
+            pr.eq(
+                pfm.twist_hmat(env, triv, hmats[i], members[i].dim,
+                               members[i + 1].dim),
+                hmats[i], position=i,
+            )
     tw = [
         pfm.twist_hmat(env, twist, hmats[i], members[i].dim,
                        members[i + 1].dim)
         for i in range(len(hmats))
     ]
-    pr = Probe()
-    for i in range(len(tw) - 1):
-        comp = pfm.compose_hmats(env, tw[i], tw[i + 1])
-        pr.check(pfm.hmat_is_zero(comp), position=i, composition=comp)
-    suite.record(
-        "rumin.twisted_compositions",
-        "the twisted complex still composes to zero",
-        *pr.result(),
-    )
+    with suite.probe("rumin.twisted_compositions",
+                     "the twisted complex still composes to zero") as pr:
+        for i in range(len(tw) - 1):
+            comp = pfm.compose_hmats(env, tw[i], tw[i + 1])
+            pr.check(pfm.hmat_is_zero(comp), position=i, composition=comp)
     nontrivial = twist.dim_carrier > 1 or any(
         not linalg.is_zero_matrix(m) for m in twist.mats
     )
     if nontrivial:
         specs = [palg.member_tensor_spec(data, mem, twist) for mem in members]
-    pr = Probe()
-    for pos in range(len(tw)):
-        pr.check(palg.complex_homomorphism_check(specs, tw, pos),
-                 position=pos)
-    suite.record(
-        "rumin.homomorphism",
-        "every complex map intertwines the action on degree-0 generators, "
-        "composes to zero with its neighbour, and sends generators to "
-        "singular vectors",
-        *pr.result(),
-    )
+    with suite.probe("rumin.homomorphism",
+                     "every complex map intertwines the action on degree-0 "
+                     "generators, composes to zero with its neighbour, and "
+                     "sends generators to singular vectors") as pr:
+        for pos in range(len(tw)):
+            pr.check(palg.complex_homomorphism_check(specs, tw, pos),
+                     position=pos)
 
 
 def suite_annihilation(suite, data, rng, truncation):
@@ -1076,54 +886,45 @@ def suite_annihilation(suite, data, rng, truncation):
         "sits inside the first plain step",
         annihilation.k_contact_filter_check(env, truncation),
     )
-    pr = Probe()
-    for _ in range(10):
-        I = rng.choice(env_mod.contact_indices(dim, truncation))
-        j = rng.randrange(dim)
-        u = annihilation.w_monomial(dim, I, j, truncation)
-        pr.eq(annihilation.w_bracket(env, u, u).coeffs, {}, element=(I, j))
-    suite.record(
-        "annihilation.alternating",
-        "the bracket of an element with itself vanishes",
-        *pr.result(),
-    )
-    pr = Probe()
+    with suite.probe("annihilation.alternating",
+                     "the bracket of an element with itself vanishes") as pr:
+        for _ in range(10):
+            I = rng.choice(env_mod.contact_indices(dim, truncation))
+            j = rng.randrange(dim)
+            u = annihilation.w_monomial(dim, I, j, truncation)
+            pr.eq(annihilation.w_bracket(env, u, u).coeffs, {}, element=(I, j))
     samples = env_mod.multi_indices(dim, 3)
-    for _ in range(30):
-        I, J = rng.choice(samples), rng.choice(samples)
-        pi, pj = sum(I) - 1, sum(J) - 1
-        if pi < 0 or pj < 0:
-            continue
-        u = annihilation.w_monomial(dim, I, rng.randrange(dim), truncation + 1)
-        v = annihilation.w_monomial(dim, J, rng.randrange(dim), truncation + 1)
-        br = annihilation.w_bracket(env, u, v)
-        for (K, _m) in br.coeffs:
-            pr.check(env_mod.plain_degree(K) >= pi + pj + 1,
-                     pair=(I, J), term=K)
-    suite.record(
-        "annihilation.plain_filtration",
-        "brackets add plain filtration levels on sampled pairs",
-        *pr.result(),
-    )
-    pr = Probe()
-    for I in env_mod.contact_indices(dim, truncation):
-        x = env_mod.dual_monomial(dim, I, truncation)
-        p = env_mod.contact_degree(I) - 1
-        for i in range(dim):
-            need = p - (2 if i == 0 else 1)
-            for tag, res in (
-                ("left", env_mod.d_left(env, data.basis_vector(i), x)),
-                ("right", env_mod.d_right(env, x, data.basis_vector(i))),
-            ):
-                for K in res.coeffs:
-                    pr.check(env_mod.contact_degree(K) >= need + 1,
-                             element=I, direction=i, action=tag, term=K)
-    suite.record(
-        "annihilation.dual_filtration",
-        "both dual actions lower the contact filtration by the weight "
-        "of the acting direction",
-        *pr.result(),
-    )
+    with suite.probe("annihilation.plain_filtration",
+                     "brackets add plain filtration levels on sampled "
+                     "pairs") as pr:
+        for _ in range(30):
+            I, J = rng.choice(samples), rng.choice(samples)
+            pi, pj = sum(I) - 1, sum(J) - 1
+            if pi < 0 or pj < 0:
+                continue
+            u = annihilation.w_monomial(dim, I, rng.randrange(dim),
+                                        truncation + 1)
+            v = annihilation.w_monomial(dim, J, rng.randrange(dim),
+                                        truncation + 1)
+            br = annihilation.w_bracket(env, u, v)
+            for (K, _m) in br.coeffs:
+                pr.check(env_mod.plain_degree(K) >= pi + pj + 1,
+                         pair=(I, J), term=K)
+    with suite.probe("annihilation.dual_filtration",
+                     "both dual actions lower the contact filtration by the "
+                     "weight of the acting direction") as pr:
+        for I in env_mod.contact_indices(dim, truncation):
+            x = env_mod.dual_monomial(dim, I, truncation)
+            p = env_mod.contact_degree(I) - 1
+            for i in range(dim):
+                need = p - (2 if i == 0 else 1)
+                for tag, res in (
+                    ("left", env_mod.d_left(env, data.basis_vector(i), x)),
+                    ("right", env_mod.d_right(env, x, data.basis_vector(i))),
+                ):
+                    for K in res.coeffs:
+                        pr.check(env_mod.contact_degree(K) >= need + 1,
+                                 element=I, direction=i, action=tag, term=K)
 
 
 def run_classify(suite, data, c_min, c_max, twist, audit_cutoff=None):
@@ -1208,16 +1009,13 @@ def run_classify(suite, data, c_min, c_max, twist, audit_cutoff=None):
                 # the coefficient checks read the default-cutoff basis
                 if used != palg.default_cutoff(spec):
                     basis, _cut = palg.singular_space(spec)
-                pr = Probe()
-                for t, v in enumerate(basis):
-                    pr.check(palg.coefficient_lemma_check(spec, v),
-                             vector=t, coefficients=v)
-                suite.record(
-                    f"classify.{name}.c={c}.coefficients",
-                    "right-normal coefficients of singular vectors match "
-                    "the quadratic symbol modulo lower degree",
-                    *pr.result(),
-                )
+                with suite.probe(f"classify.{name}.c={c}.coefficients",
+                                 "right-normal coefficients of singular "
+                                 "vectors match the quadratic symbol modulo "
+                                 "lower degree") as pr:
+                    for t, v in enumerate(basis):
+                        pr.check(palg.coefficient_lemma_check(spec, v),
+                                 vector=t, coefficients=v)
                 deg2 = [v for v in basis if palg.element_degree(v) == 2]
                 if kind == "fundamental":
                     for t, v in enumerate(deg2):

@@ -129,15 +129,19 @@ class LinearSystem:
     Column i is stored in one `Echelon` with each key k as (0, k) and a
     unit tracking key (1, i).  Tracking keys sort after every column key,
     so a row pivoted on a tracking key holds tracking keys only: it is a
-    relation among the columns.
+    relation among the columns.  Each distinct k gets one (0, k) tuple per
+    system, shared by every column that holds it.
     """
 
     def __init__(self):
         self.ech = Echelon()
         self.labels = []
+        self._keys = {}
 
     def add_column(self, label, vec):
-        aug = {(0, k): v for k, v in vec.items()}
+        keys = self._keys
+        aug = {keys.get(k) or keys.setdefault(k, (0, k)): v
+               for k, v in vec.items()}
         aug[(1, len(self.labels))] = ONE
         self.labels.append(label)
         self.ech.add(aug)

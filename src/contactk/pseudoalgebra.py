@@ -259,19 +259,13 @@ def e_star_raw(spec, v):
     return _put_central(_e_star_free(spec, v), spec.data.dim, v, spec.c / 2)
 
 
-@dataclass
-class NormalizedAction:
-    side: str  # "left" or "right"
-    terms: dict  # multi-index -> TensorElement
-
-
 def to_left_normal(env, raw):
     """(f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v."""
     out = {}
     for (F, G, (J, r)), c in raw.items():
         for (Fk, Jk), x in env.left_image(F, G, J):
             vec_put(out.setdefault(Fk, {}), (Jk, r), c * x)
-    return NormalizedAction("left", {F: t for F, t in out.items() if t})
+    return {F: t for F, t in out.items() if t}
 
 
 def to_right_normal(env, raw):
@@ -280,24 +274,7 @@ def to_right_normal(env, raw):
     for (F, G, (J, r)), c in raw.items():
         for (Gk, Jk), x in env.right_image(F, G, J):
             vec_put(out.setdefault(Gk, {}), (Jk, r), c * x)
-    return NormalizedAction("right", {G: t for G, t in out.items() if t})
-
-
-def normal_to_raw(normal):
-    raw = {}
-    for F, t in normal.terms.items():
-        zero = (0,) * len(F)
-        for (J, r), c in t.items():
-            if normal.side == "left":
-                raw[(F, zero, (J, r))] = c
-            else:
-                raw[(zero, F, (J, r))] = c
-    return raw
-
-
-def e_star(spec, v):
-    """The action in left-normal form."""
-    return to_left_normal(spec.env, e_star_raw(spec, v))
+    return {G: t for G, t in out.items() if t}
 
 
 def is_singular(spec, v):
@@ -306,9 +283,9 @@ def is_singular(spec, v):
     a disagreement raises ArithmeticError."""
     raw = e_star_raw(spec, v)
     left = to_left_normal(spec.env, raw)
-    ok_left = all(contact_degree(F) <= 2 for F in left.terms)
+    ok_left = all(contact_degree(F) <= 2 for F in left)
     right = to_right_normal(spec.env, raw)
-    ok_right = all(contact_degree(G) <= 2 for G in right.terms)
+    ok_right = all(contact_degree(G) <= 2 for G in right)
     if ok_left != ok_right:
         raise ArithmeticError("left and right singularity criteria disagree")
     return ok_left
@@ -318,7 +295,7 @@ def _high_part(env, raw):
     """The left-normal coefficients of raw beyond contact degree two, as
     one sparse vector keyed (F, (J, r))."""
     col = {}
-    for F, t in to_left_normal(env, raw).terms.items():
+    for F, t in to_left_normal(env, raw).items():
         if contact_degree(F) <= 2:
             continue
         for key, c in t.items():
@@ -469,7 +446,7 @@ def fourier_act(spec, x, v):
     env = spec.env
     left = to_left_normal(env, e_star_raw(spec, v))
     out = {}
-    for F, t in left.terms.items():
+    for F, t in left.items():
         pairing = env.dual_pair(x, env.antipode_basis(F))
         if pairing:
             for key, c in t.items():
@@ -548,13 +525,13 @@ def coefficient_lemma_check(spec, v):
     vcomp = {}
     for (I, r), c in v.items():
         vcomp.setdefault(I, {})[r] = c
-    support = set(vcomp) | set(right.terms)
+    support = set(vcomp) | set(right)
     for I in support:
         u_vec = tuple(
             vcomp.get(I, {}).get(r, ZERO) for r in range(spec.dim_r)
         )
         want = psi_map(spec, u_vec)
-        got = right.terms.get(I, {})
+        got = right.get(I, {})
         keys = {k for k in want if sum(k[0]) >= 2} | {
             k for k in got if sum(k[0]) >= 2
         }
@@ -658,9 +635,9 @@ def _jacobi_holds(spec, v):
 
     # e * (e * v) at (f' (x) f (x) 1), minus the same with the legs swapped
     rhs = {}
-    for F, w in left1.terms.items():
+    for F, w in left1.items():
         inner = to_left_normal(env, e_star_raw(spec, w))
-        for F2, t in inner.terms.items():
+        for F2, t in inner.items():
             acc = rhs.setdefault((F2, F), {})
             for vk, c in t.items():
                 vec_put(acc, vk, c)
@@ -670,7 +647,7 @@ def _jacobi_holds(spec, v):
 
     lhs = {}
     g = bracket_element(data)
-    for F, w in left1.terms.items():
+    for F, w in left1.items():
         split = env.coproduct({F: ONE}).items()
         for (P, Q), cg in g.items():
             for (F1, F2), cf in split:
@@ -861,34 +838,12 @@ def homomorphism_check(src_spec, tgt_spec, hmat):
         for (F, G, (J, rr)), c in e_star_raw(src_spec, v).items():
             img = pseudoforms.apply_hmat(env, hmat, {(J, rr): c})
             for (K, r2), c2 in img.items():
-                key = (F, G, (K, r2))
-                w = lhs_raw.get(key, ZERO) + c2
-                if w:
-                    lhs_raw[key] = w
-                else:
-                    lhs_raw.pop(key, None)
+                vec_put(lhs_raw, (F, G, (K, r2)), c2)
         rhs_v = pseudoforms.apply_hmat(env, hmat, v)
         rhs_raw = e_star_raw(tgt_spec, rhs_v)
-        if to_left_normal(env, lhs_raw).terms != to_left_normal(env, rhs_raw).terms:
+        if to_left_normal(env, lhs_raw) != to_left_normal(env, rhs_raw):
             return False
     return True
-
-
-def twisted_contact_complex(data, twist=None):
-    """Members and maps of the contact complex twisted by a module:
-    returns (specs, hmats) where hmats[i] maps specs[i] to specs[i+1]."""
-    env = get_env(data)
-    members = pseudoforms.contact_complex_members(data)
-    hmats = pseudoforms.contact_complex_hmats(env, members)
-    tv = twist if twist is not None else pseudoforms.trivial_twist(data)
-    specs = [member_tensor_spec(data, m, tv) for m in members]
-    if twist is not None:
-        hmats = [
-            pseudoforms.twist_hmat(env, twist, h, members[i].dim,
-                                   members[i + 1].dim)
-            for i, h in enumerate(hmats)
-        ]
-    return specs, hmats
 
 
 def v_index_of_member(data, member):
@@ -900,11 +855,11 @@ def v_index_of_member(data, member):
 
 
 def complex_homomorphism_check(specs, hmats, position):
-    """For the map out of the complex member at the given list position
-    of `twisted_contact_complex`'s (specs, hmats): the intertwining
-    condition on degree-0 generators, vanishing of the composition with
-    the adjacent map, and singularity of the generator images in the
-    target."""
+    """For the map hmats[position] of a contact complex whose members are
+    the tensor modules specs, hmats[i] mapping specs[i] to specs[i+1]:
+    the intertwining condition on degree-0 generators, vanishing of the
+    composition with the adjacent map, and singularity of the generator
+    images in the target."""
     env = specs[position].env
     if not homomorphism_check(specs[position], specs[position + 1],
                               hmats[position]):

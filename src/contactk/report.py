@@ -6,8 +6,13 @@ identity, status, witness data for failures) and summary counts.  The
 machine-readable form is canonical JSON: keys sorted, rationals rendered
 as strings, no timestamps, so byte-identical output for identical
 configuration and seed.
+
+A check is recorded in one step: `Suite.record` for a single verdict,
+`Suite.probe` for a family of cases that keeps the first failing case as
+the witness, `Suite.info` for a payload that is not a verdict.
 """
 
+import contextlib
 import json
 from fractions import Fraction
 
@@ -33,6 +38,27 @@ def _plain_key(key):
     return repr(key)
 
 
+class Probe:
+    """Aggregates a family of cases, keeping the first failing witness."""
+
+    def __init__(self):
+        self.ok = True
+        self.witness = None
+
+    def check(self, good, **case):
+        if not good and self.witness is None:
+            self.witness = case or {"case": "unspecified"}
+        self.ok = self.ok and bool(good)
+        return good
+
+    def eq(self, lhs, rhs, **case):
+        good = lhs == rhs
+        if not good and self.witness is None:
+            self.witness = dict(case, lhs=lhs, rhs=rhs)
+        self.ok = self.ok and good
+        return good
+
+
 class Suite:
     """Collects check records; failures carry a minimal witness."""
 
@@ -48,6 +74,15 @@ class Suite:
         }
         self.checks.append(entry)
         return ok
+
+    @contextlib.contextmanager
+    def probe(self, name, statement):
+        """Yield a Probe and record its verdict when the block ends.
+
+        A block that raises records nothing: the exception propagates."""
+        pr = Probe()
+        yield pr
+        self.record(name, statement, pr.ok, pr.witness)
 
     def info(self, name, statement, payload):
         self.checks.append(

@@ -145,10 +145,11 @@ def sp_dimension(data):
     return n * (2 * n + 1)
 
 
-def sp_coordinates(data, sp_gens, mat_bar):
-    """Coordinates of a symplectic matrix in the f^{ij} basis."""
+def f_system(data, sp_gens):
+    """The f^{ij} as the columns of one LinearSystem over the barred matrix
+    entries, built once per datum."""
 
-    def f_system(data):
+    def build(data):
         sys = LinearSystem()
         for (i, j), f in sp_gens.f_raised.items():
             sys.add_column(
@@ -162,7 +163,12 @@ def sp_coordinates(data, sp_gens, mat_bar):
             )
         return sys
 
-    sys = data.derived("sp_coordinates", f_system)
+    return data.derived("f_system", build)
+
+
+def sp_coordinates(data, sp_gens, mat_bar):
+    """Coordinates of a symplectic matrix in the f^{ij} basis."""
+    sys = f_system(data, sp_gens)
     target = {
         (r, c): mat_bar[r][c]
         for r in range(data.dim - 1)

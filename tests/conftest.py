@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from contactk import contact_lie, pseudoforms, sp_rep
+from contactk.enveloping import get_env
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,25 @@ def make_spec(data, u_kind, c, twist=None):
         rep = sp_rep.fundamental_rep(data, gens, int(u_kind))
     tw = twist if twist is not None else pseudoforms.trivial_twist(data)
     return palg.TensorModuleSpec(data, tw, rep, Fraction(c))
+
+
+def twisted_contact_complex(data, twist=None):
+    """Members and maps of the contact complex twisted by a module:
+    returns (specs, hmats) where hmats[i] maps specs[i] to specs[i+1]."""
+    from contactk import pseudoalgebra as palg
+
+    env = get_env(data)
+    members = pseudoforms.contact_complex_members(data)
+    hmats = pseudoforms.contact_complex_hmats(env, members)
+    tv = twist if twist is not None else pseudoforms.trivial_twist(data)
+    specs = [palg.member_tensor_spec(data, m, tv) for m in members]
+    if twist is not None:
+        hmats = [
+            pseudoforms.twist_hmat(env, twist, h, members[i].dim,
+                                   members[i + 1].dim)
+            for i, h in enumerate(hmats)
+        ]
+    return specs, hmats
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import twisted_contact_complex
+
 from contactk import annihilation as an
 from contactk import cli
 from contactk import contact_lie as cl
@@ -352,7 +354,7 @@ def test_criterion_8_twisted_complex():
         pfm.hmat_is_zero(pfm.compose_hmats(env, tw[i], tw[i + 1]))
         for i in range(len(tw) - 1)
     )
-    specs, maps = pa.twisted_contact_complex(data, twist)
+    specs, maps = twisted_contact_complex(data, twist)
     ok &= all(
         pa.complex_homomorphism_check(specs, maps, pos)
         for pos in range(len(maps))

@@ -1,9 +1,11 @@
 import json
 import os
+import types
 
 import pytest
 
 from contactk import cli
+from contactk import pseudoforms as pfm
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "heisenberg1.json")
@@ -294,3 +296,25 @@ def test_range_floors_are_accepted(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "suite_rumin", lambda *args: ran.append(args))
     assert run(argv + ["--algebra", "sl2"]) == 0
     assert len(ran) == 1
+
+
+def test_rumin_trials_sets_the_sample_count(monkeypatch):
+    # rumin.completion_independent maps each drawn element twice, the
+    # second time with reverse=True; rumin.vanishes_on_ideal maps each of
+    # its draws once.  Each check draws trials // 2 elements, at least one.
+    calls = []
+
+    def counting(env, a, reverse=False):
+        calls.append(reverse)
+        return pfm.rumin_map(env, a, reverse)
+
+    monkeypatch.setattr(cli, "pfm", types.SimpleNamespace(
+        **dict(vars(pfm), rumin_map=counting)))
+    draws = []
+    for trials in (1, 2, 50):
+        calls.clear()
+        assert run(["rumin", "--algebra", "sl2", "--trials", str(trials),
+                    "--degree-bound", "2", "--out", os.devnull]) == 0
+        completion = calls.count(True)
+        draws.append((completion, calls.count(False) - completion))
+    assert draws == [(1, 1), (1, 1), (25, 25)]
