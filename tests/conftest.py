@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,16 @@ def nonuni():
     return contact_lie.build_contact_data(
         3, {(0, 1, 2): 1, (0, 1, 0): 1}, (0, 0, 1)
     )
+
+
+@pytest.fixture(scope="session")
+def heis2_rebased():
+    # heisenberg:2 in a random integer basis with a random contact form:
+    # r and omega are dense (denominators 275 and 43), so a transposed
+    # index shows up where the sparse builtins hide it
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "heis2_rebased.json")
+    return contact_lie.load_algebra_file(path)
 
 
 @pytest.fixture(scope="session")

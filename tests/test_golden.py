@@ -46,6 +46,10 @@ CASES = {
         "verify-core", "--algebra", "tests/data/nonuni.json",
         "--suite", "exterior",
     ],
+    "verify_core_heis2_rebased_contact_sp": [
+        "verify-core", "--algebra", "tests/data/heis2_rebased.json",
+        "--suite", "contact,sp",
+    ],
     "annihilation_sl2_t4": [
         "annihilation", "--algebra", "sl2", "--truncation", "4",
     ],

@@ -186,3 +186,122 @@ def test_sp_coordinates_roundtrip(heis2):
     for (i, j), c in coords.items():
         acc = la.mat_add(acc, la.mat_scale(gens.f(i, j), c))
     assert acc == mat
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry locks on a dense datum
+
+
+def _sum(n, terms):
+    """sum of c * m over (c, m), folded with the plain helpers."""
+    acc = la.zeros(n)
+    for c, m in terms:
+        acc = la.mat_add(acc, la.mat_scale(m, c))
+    return acc
+
+
+def test_raised_generators_entrywise(heis2_rebased):
+    d = heis2_rebased
+    gens = sp.build_sp(d)
+    n2 = d.dim - 1
+    r = d.rmat
+    for i in range(1, d.dim):
+        for j in range(1, d.dim):
+            # e^{ij} = sum_k r^{ik} e_k^j: column j holds row i of r
+            want = tuple(tuple(r[i][a + 1] if b + 1 == j else 0
+                               for b in range(n2)) for a in range(n2))
+            assert gens.e_raised[(i, j)] == want
+            # f^{ij} = -(e^{ij} + e^{ji}) / 2
+            want = tuple(tuple(
+                -(r[i][a + 1] * (b + 1 == j) + r[j][a + 1] * (b + 1 == i)) / 2
+                for b in range(n2)) for a in range(n2))
+            assert gens.f(i, j) == want
+
+
+def test_lowered_generators_entrywise(heis2_rebased):
+    d = heis2_rebased
+    gens = sp.build_sp(d)
+    n2 = d.dim - 1
+    w = d.omega
+    for i in range(1, d.dim):
+        for j in range(1, d.dim):
+            # f_ij = sum_{ab} omega_ia omega_jb f^{ab}
+            want = tuple(tuple(
+                sum(w[i][a] * w[j][b] * gens.f(a, b)[x][y]
+                    for a in range(1, d.dim) for b in range(1, d.dim))
+                for y in range(n2)) for x in range(n2))
+            assert gens.f_lower_two(i, j) == want
+
+
+def test_projected_adjoint_entrywise(heis2_rebased):
+    d = heis2_rebased
+    n2 = d.dim - 1
+    r, c = d.rmat, d.c
+    assert sp.ad_sp(d, 0) == tuple(
+        tuple(c[0][y][x] for y in range(1, d.dim)) for x in range(1, d.dim))
+    for k in range(1, d.dim):
+        # sum_m r^{km} ad e_m + (1/2) sum_{ij} c_ij^k e^{ij}, barred
+        want = tuple(tuple(
+            sum(r[k][m] * c[m][y][x] for m in range(1, d.dim))
+            + sum(c[i][y][k] * r[i][x] for i in range(1, d.dim)) / 2
+            for y in range(1, d.dim)) for x in range(1, d.dim))
+        got = sp.ad_sp(d, k)
+        assert len(got) == n2
+        assert got == want
+
+
+def test_casimir_entrywise(heis2_rebased):
+    d = heis2_rebased
+    gens = sp.build_sp(d)
+    w = d.omega
+    idx = range(1, d.dim)
+    for n in range(d.N + 1):
+        rep = sp.fundamental_rep(d, gens, n)
+        want = la.zeros(rep.dim)
+        for i in idx:
+            for j in idx:
+                low = _sum(rep.dim, [(w[i][a] * w[j][b], rep.f(a, b))
+                                     for a in idx for b in idx])
+                want = la.mat_sub(want, la.mat_mul(low, rep.f(i, j)))
+        assert sp.casimir_apply(d, gens, rep) == want
+        assert sp.scalar_matrix_value(want) == Fraction(
+            n * (2 * d.N + 2 - n), 2)
+
+
+def test_tau_on_dense_datum(heis2_rebased):
+    from contactk import pseudoalgebra as palg
+
+    assert palg.tau_check(heis2_rebased)
+
+
+def _cryptic_by_permutations(rep, product, a, b, c, d):
+    """The reference: the sum over all 24 orderings of the four indices
+    of f^{p0 p1} f^{p2 p3}, with `product` memoizing those products."""
+    acc = la.zeros(rep.dim)
+    for p in itertools.permutations((a, b, c, d)):
+        acc = la.mat_add(acc, product(p))
+    return la.is_zero_matrix(acc)
+
+
+def test_cryptic_check_matches_permutation_sum(heis2, heis2_rebased):
+    for data in (heis2, heis2_rebased):
+        gens = sp.build_sp(data)
+        reps = [sp.trivial_rep(data, gens), sp.sym_square_rep(data, gens)]
+        reps += [sp.fundamental_rep(data, gens, p)
+                 for p in range(1, data.N + 1)]
+        seen_failure = False
+        for rep in reps:
+            memo = {}
+
+            def product(p):
+                key = (tuple(sorted(p[:2])), tuple(sorted(p[2:])))
+                if key not in memo:
+                    memo[key] = la.mat_mul(rep.f(*key[0]), rep.f(*key[1]))
+                return memo[key]
+
+            for quad in itertools.combinations_with_replacement(
+                    range(1, data.dim), 4):
+                want = _cryptic_by_permutations(rep, product, *quad)
+                assert sp.cryptic_relation_check(rep, *quad) == want
+                seen_failure |= not want
+        assert seen_failure
