@@ -156,15 +156,6 @@ def in_w_plain(w, p):
     return all(plain_degree(I) >= p + 1 for (I, _j) in w.coeffs)
 
 
-def in_w_contact(w, p):
-    """Membership in W'_p."""
-    for (I, j) in w.coeffs:
-        need = p + 2 if j == 0 else p + 1
-        if contact_degree(I) < need:
-            return False
-    return True
-
-
 def drop_w_intersection(w, p):
     """Representative modulo W'_p cap W_p."""
     out = {}
@@ -345,16 +336,10 @@ def iprime_expansion_check(env, truncation=4):
     gens = sp_rep.sp_gens_for(data)
     x0 = env_mod.dual_covector(dim, 0, truncation)
     got = w0_class_to_gl(data, embed_k(env, x0).scale(2))
-    acc = linalg.zeros(dim)
-    for i in range(1, dim):
-        for j in range(i + 1, dim):
-            w = data.omega[i][j]
-            if w:
-                acc = linalg.mat_add(
-                    acc,
-                    linalg.mat_scale(sp_rep.embed_bar(data, gens.f(i, j)), 2 * w),
-                )
-    lhs = linalg.mat_add(got, acc)
+    lhs = linalg.mat_comb(dim, [(ONE, got)] + [
+        (2 * data.omega[i][j], sp_rep.embed_bar(data, gens.f(i, j)))
+        for i in range(1, dim) for j in range(i + 1, dim)
+        if data.omega[i][j]])
     return lhs == linalg.mat_scale(gens.i_prime, -ONE)
 
 
@@ -386,21 +371,15 @@ def csp_quotient_check(env, truncation=5):
         if lab[0] == "f":
             _t, i, j = lab
             return sp_rep.embed_bar(data, linalg.mat_scale(gens.f(i, j), 2))
-        acc = linalg.mat_scale(gens.i_prime, Fraction(-1, 2))
-        for i in range(1, dim):
-            for j in range(i + 1, dim):
-                w = data.omega[i][j]
-                if w:
-                    acc = linalg.mat_sub(
-                        acc, linalg.mat_scale(
-                            sp_rep.embed_bar(data, gens.f(i, j)), w)
-                    )
-        return acc
+        return linalg.mat_comb(dim, [(Fraction(-1, 2), gens.i_prime)] + [
+            (-data.omega[i][j], sp_rep.embed_bar(data, gens.f(i, j)))
+            for i in range(1, dim) for j in range(i + 1, dim)
+            if data.omega[i][j]])
 
     def class_to_gl(x):
         """Map the contact-degree-two part of a Fourier coefficient class
         through the quotient identification."""
-        acc = linalg.zeros(dim)
+        terms = []
         for I, c in x.coeffs.items():
             cd = contact_degree(I)
             if cd >= 3:
@@ -408,17 +387,12 @@ def csp_quotient_check(env, truncation=5):
             if cd <= 1:
                 raise ValueError("element does not lie in the degree-0 part")
             if I[0] == 1:
-                acc = linalg.mat_add(acc, linalg.mat_scale(pi_of(("v",)), c))
+                terms.append((c, pi_of(("v",))))
             else:
                 pair = [k for k, v in enumerate(I) if v for _ in range(v)]
                 i, j = pair
-                acc = linalg.mat_add(
-                    acc,
-                    linalg.mat_scale(
-                        sp_rep.embed_bar(data, gens.f(i, j)), 2 * c
-                    ),
-                )
-        return acc
+                terms.append((2 * c, sp_rep.embed_bar(data, gens.f(i, j))))
+        return linalg.mat_comb(dim, terms)
 
     for la in labels:
         for lb in labels:

@@ -255,11 +255,8 @@ def suite_exterior(suite, data):
         for i in range(1, dim):
             for j in range(dim):
                 # e^{ij} in gl(d), including the column-0 case
-                full = [[ZERO] * dim for _ in range(dim)]
-                for k in range(1, dim):
-                    if data.rmat[i][k]:
-                        full[k][j] += data.rmat[i][k]
-                got = exterior.gl_act(data, tuple(map(tuple, full)), om)
+                got = exterior.gl_act(
+                    data, sp_rep.e_raised_full(data, i, j), om)
                 want = exterior.wedge(exterior.one_form(i),
                                       exterior.one_form(j))
                 pr.eq(got.as_dict(), want.as_dict(), raised=(i, j))
@@ -520,15 +517,12 @@ def suite_sp(suite, data):
                 )
                 pr.eq(lhs, rhs, raised=(i, j, k, l))
                 lhs = linalg.commutator(gens.f(i, j), gens.f(k, l))
-                rhs = linalg.zeros(dim - 1)
-                for rr, ff in (
-                    (data.rmat[i][k], gens.f(j, l)),
-                    (data.rmat[i][l], gens.f(j, k)),
-                    (data.rmat[j][k], gens.f(i, l)),
-                    (data.rmat[j][l], gens.f(i, k)),
-                ):
-                    rhs = linalg.mat_add(
-                        rhs, linalg.mat_scale(ff, Fraction(rr, 2)))
+                rhs = linalg.mat_comb(dim - 1, [
+                    (Fraction(data.rmat[i][k], 2), gens.f(j, l)),
+                    (Fraction(data.rmat[i][l], 2), gens.f(j, k)),
+                    (Fraction(data.rmat[j][k], 2), gens.f(i, l)),
+                    (Fraction(data.rmat[j][l], 2), gens.f(i, k)),
+                ])
                 pr.eq(lhs, rhs, symmetric=(i, j, k, l))
     with suite.probe("sp.trace_raised",
                      "the trace of a raised elementary matrix is the r "

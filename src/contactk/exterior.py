@@ -213,10 +213,6 @@ def theta_mul(data, a):
     return wedge(theta_form(data), a)
 
 
-def omega_mul(data, a):
-    return wedge(omega_form(data), a)
-
-
 # ---------------------------------------------------------------------------
 # subspaces, reductions, the constant Rumin complex
 
@@ -259,10 +255,6 @@ def compute_K(data, n):
 def standard_keys(data, n, ech_I):
     """Monomials of degree n that are not leading terms of I^n."""
     return [k for k in monomials(data.dim, n) if k not in ech_I.rows]
-
-
-def quotient_dim(data, n):
-    return len(standard_keys(data, n, compute_I(data, n)))
 
 
 # barred spaces: forms on ker theta, i.e. monomials avoiding index 0

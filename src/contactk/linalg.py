@@ -6,8 +6,8 @@ semi-echelon basis of such vectors, each row pivoted on its smallest key;
 it gives unique normal forms, and the reduced basis on demand.
 LinearSystem reads solutions and kernels off one Echelon of tracked
 columns.  Dense matrices are tuples of tuples of Fractions with a handful
-of helpers (product, inverse, Kronecker product) used by the
-representation-theoretic modules.
+of helpers (linear combination, product, inverse, Kronecker product)
+used by the representation-theoretic modules.
 
 Everything is exact; no floats anywhere.
 """
@@ -203,6 +203,21 @@ def mat_scale(a, c):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def mat_comb(n, terms):
+    """The n x n matrix sum of c * m over the (c, m) pairs of `terms`;
+    a zero coefficient is skipped."""
+    acc = [[ZERO] * n for _ in range(n)]
+    for c, m in terms:
+        if not c:
+            continue
+        c = Fraction(c)
+        for row, mrow in zip(acc, m):
+            for j, x in enumerate(mrow):
+                if x:
+                    row[j] += c * x
+    return tuple(map(tuple, acc))
+
+
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
@@ -246,10 +261,3 @@ def inverse(a):
             raise ValueError("matrix is singular")
         cols.append(tuple(sol.get(j, ZERO) for j in range(n)))
     return tuple(zip(*cols))
-
-
-def matrix_rank(a):
-    ech = Echelon()
-    for row in a:
-        ech.add({j: x for j, x in enumerate(row) if x})
-    return ech.rank

@@ -113,18 +113,14 @@ class TensorModuleSpec:
 
     def rho_d(self, vec):
         """Action of a Lie algebra element on R (through the Pi factor)."""
-        acc = linalg.zeros(self.dim_pi)
-        for i, x in enumerate(vec):
-            if x:
-                acc = linalg.mat_add(acc, linalg.mat_scale(self.twist.mats[i], x))
+        acc = linalg.mat_comb(self.dim_pi, zip(vec, self.twist.mats))
         return linalg.kron(acc, linalg.identity(self.dim_u))
 
     def rho_sp(self, mat_bar):
         """Action of a symplectic matrix on R (through the U factor)."""
         coords = sp_rep.sp_coordinates(self.data, self.sp_gens, mat_bar)
-        acc = linalg.zeros(self.dim_u)
-        for (i, j), c in coords.items():
-            acc = linalg.mat_add(acc, linalg.mat_scale(self.sprep.f(i, j), c))
+        acc = linalg.mat_comb(self.dim_u, [
+            (c, self.sprep.f(i, j)) for (i, j), c in coords.items()])
         return linalg.kron(linalg.identity(self.dim_pi), acc)
 
     def rho_f(self, i, j):
@@ -477,15 +473,6 @@ def rho_sing_iprime(spec, v):
     return {k: -c for k, c in acc.items()}
 
 
-def rho_sing_f(spec, i, j, v):
-    """rho_sing(f^{ij}) v = (x^i x^j (x)_H e) v / 2."""
-    dim = spec.data.dim
-    xij = env_mod.dual_monomial(
-        dim, env_mod.add_index(tuple(env_mod.eps(dim, i)),
-                               tuple(env_mod.eps(dim, j))), 4)
-    return {k: c / 2 for k, c in fourier_act(spec, xij, v).items()}
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -668,18 +655,6 @@ def _jacobi_holds(spec, v):
 # the gl-valued part of the embedding into the derivation pseudoalgebra
 
 
-def _e_raised_full(data, i, j):
-    """e^{ij} = sum_k r^{ik} e_k^j as a full gl(d) matrix, i >= 1."""
-    dim = data.dim
-    acc = linalg.zeros(dim)
-    for k in range(1, dim):
-        r = data.rmat[i][k]
-        if r:
-            acc = linalg.mat_add(acc, linalg.mat_scale(
-                linalg.elementary(dim, k, j), r))
-    return acc
-
-
 def _put_matrix(out, I, mat, scl=ONE):
     """Add scl * mat to the gl(d) matrix stored at multi-index I."""
     if linalg.is_zero_matrix(mat):
@@ -704,14 +679,10 @@ def tau_of_e(data):
                     linalg.elementary(dim, 0, j))
     for i in range(1, dim):
         # - e_i (x) ad d^i - sum_j e_i e_j (x) e^{ij}
-        adsum = linalg.zeros(dim)
-        for m in range(1, dim):
-            r = data.rmat[i][m]
-            if r:
-                adsum = linalg.mat_add(adsum, linalg.mat_scale(data.ad_matrix(m), r))
-        _put_matrix(out, tuple(env_mod.eps(dim, i)), adsum, -ONE)
+        _put_matrix(out, tuple(env_mod.eps(dim, i)), sp_rep.ad_dual(data, i),
+                    -ONE)
         for j in range(dim):
-            eij = _e_raised_full(data, i, j)
+            eij = sp_rep.e_raised_full(data, i, j)
             prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
                                 tuple(env_mod.eps(dim, j)))
             for K, ck in prod.items():
@@ -729,20 +700,11 @@ def adsp_full(data, k):
     dim = data.dim
     if k == 0:
         return data.ad_matrix(0)
-    acc = linalg.zeros(dim)
-    for m in range(1, dim):
-        r = data.rmat[k][m]
-        if r:
-            acc = linalg.mat_add(acc, linalg.mat_scale(data.ad_matrix(m), r))
-    acc = linalg.mat_sub(acc, linalg.elementary(dim, 0, k))
-    for i in range(1, dim):
-        for j in range(1, dim):
-            c = data.c[i][j][k]
-            if c:
-                acc = linalg.mat_add(
-                    acc,
-                    linalg.mat_scale(_e_raised_full(data, i, j), Fraction(c, 2)),
-                )
+    acc = linalg.mat_comb(dim, [
+        (ONE, sp_rep.ad_dual(data, k)),
+        (-ONE, linalg.elementary(dim, 0, k)),
+    ] + [(Fraction(data.c[i][j][k], 2), sp_rep.e_raised_full(data, i, j))
+         for i in range(1, dim) for j in range(1, dim)])
     if any(acc[0][j] != 0 for j in range(dim)):  # pragma: no cover
         raise ArithmeticError("row-0 entries of adsp did not cancel")
     bar = tuple(tuple(row[1:]) for row in acc[1:])
@@ -767,7 +729,7 @@ def tau_rhs(data):
     _put_matrix(out, tuple(env_mod.eps(dim, 0)), gens.i_prime,
                 Fraction(1, 2))
     for i in range(1, dim):
-        ei0 = _e_raised_full(data, i, 0)
+        ei0 = sp_rep.e_raised_full(data, i, 0)
         prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
                             tuple(env_mod.eps(dim, 0)))
         for K, ck in prod.items():
@@ -844,14 +806,6 @@ def homomorphism_check(src_spec, tgt_spec, hmat):
         if to_left_normal(env, lhs_raw) != to_left_normal(env, rhs_raw):
             return False
     return True
-
-
-def v_index_of_member(data, member):
-    """Position of a member in the decreasing tensor-module indexing."""
-    nn = data.N
-    if member.kind == "quotient":
-        return 2 * nn + 2 - member.degree
-    return 2 * nn + 1 - member.degree
 
 
 def complex_homomorphism_check(specs, hmats, position):

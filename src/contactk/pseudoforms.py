@@ -275,9 +275,8 @@ class TwistData:
         for i in range(data.dim):
             for j in range(data.dim):
                 lhs = linalg.commutator(self.mats[i], self.mats[j])
-                rhs = linalg.zeros(self.dim_carrier)
-                for k, c in data.bracket_basis(i, j):
-                    rhs = linalg.mat_add(rhs, linalg.mat_scale(self.mats[k], c))
+                rhs = linalg.mat_comb(self.dim_carrier, [
+                    (c, self.mats[k]) for k, c in data.bracket_basis(i, j)])
                 if lhs != rhs:
                     raise ValueError(
                         f"matrices do not satisfy the bracket at ({i},{j})"
@@ -300,10 +299,8 @@ class TwistData:
         return out
 
     def act(self, h):
-        acc = linalg.zeros(self.dim_carrier)
-        for I, c in h.items():
-            acc = linalg.mat_add(acc, linalg.mat_scale(self.act_basis(I), c))
-        return acc
+        return linalg.mat_comb(self.dim_carrier, [
+            (c, self.act_basis(I)) for I, c in h.items()])
 
 
 def trivial_twist(data):

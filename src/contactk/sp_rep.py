@@ -10,6 +10,10 @@ which form a basis of the symplectic algebra for 1 <= i <= j <= 2N.  The
 Casimir element is -sum_{ij} f_ij f^{ij} (indices lowered with omega); on
 the fundamental representation realized inside barred forms it acts by
 the scalar n(2N+2-n)/2.
+
+Each raised-index formula has one builder here: `e_raised_full` for
+e^{ij} (whose barred block `build_sp` keeps), `ad_dual` for ad d^k and
+`lower_two` for lowering both indices with omega.
 """
 
 import itertools
@@ -51,27 +55,12 @@ class SpGenerators:
     def f_lower_one(self, i, j):
         """f_i^j = sum_a omega_{ia} f^{aj}."""
         dd = self.data
-        acc = linalg.zeros(dd.dim - 1)
-        for a in range(1, dd.dim):
-            w = dd.omega[i][a]
-            if w:
-                acc = linalg.mat_add(acc, linalg.mat_scale(self.f(a, j), w))
-        return acc
+        return linalg.mat_comb(dd.dim - 1, [
+            (dd.omega[i][a], self.f(a, j)) for a in range(1, dd.dim)])
 
     def f_lower_two(self, i, j):
-        dd = self.data
-        acc = linalg.zeros(dd.dim - 1)
-        for a in range(1, dd.dim):
-            wa = dd.omega[i][a]
-            if not wa:
-                continue
-            for b in range(1, dd.dim):
-                wb = dd.omega[j][b]
-                if wb:
-                    acc = linalg.mat_add(
-                        acc, linalg.mat_scale(self.f(a, b), wa * wb)
-                    )
-        return acc
+        """f_ij = sum_{ab} omega_{ia} omega_{jb} f^{ab}."""
+        return lower_two(self.data, self.data.dim - 1, self.f, i, j)
 
     def sl2_triple(self, i):
         """(h_i, e_i, f_i) = (-2 f_i^i, f_ii, -f^{ii})."""
@@ -87,19 +76,26 @@ def elementary_bar(dim, k, j):
     return linalg.elementary(dim - 1, k - 1, j - 1)
 
 
+def e_raised_full(data, i, j):
+    """e^{ij} = sum_k r^{ik} e_k^j as a full gl(d) matrix, for 1 <= i and
+    0 <= j: column j holds row i of r, whose entry 0 is zero."""
+    return tuple(tuple(r if c == j else ZERO for c in range(data.dim))
+                 for r in data.rmat[i])
+
+
+def lower_two(data, n, f, i, j):
+    """sum_{ab} omega_{ia} omega_{jb} f(a, b): the indices of f^{ab}
+    lowered with omega, for f(a, b) an n x n matrix of f^{ab}."""
+    idx = range(1, data.dim)
+    wi, wj = data.omega[i], data.omega[j]
+    return linalg.mat_comb(n, [(wi[a] * wj[b], f(a, b))
+                               for a in idx if wi[a] for b in idx if wj[b]])
+
+
 def build_sp(data):
     dim = data.dim
-    e_raised = {}
-    for i in range(1, dim):
-        for j in range(1, dim):
-            acc = linalg.zeros(dim - 1)
-            for k in range(1, dim):
-                r = data.rmat[i][k]
-                if r:
-                    acc = linalg.mat_add(
-                        acc, linalg.mat_scale(elementary_bar(dim, k, j), r)
-                    )
-            e_raised[(i, j)] = acc
+    e_raised = {(i, j): _bar(e_raised_full(data, i, j))
+                for i in range(1, dim) for j in range(1, dim)}
     f_raised = {}
     for i in range(1, dim):
         for j in range(i, dim):
@@ -286,24 +282,11 @@ def fundamental_dim(nn, n):
 
 def casimir_apply(data, sp_gens, rep):
     """-sum_{ij} rho(f_ij) rho(f^{ij}) on the carrier of rep."""
-    dim = data.dim
-    acc = linalg.zeros(rep.dim)
-    for i in range(1, dim):
-        for j in range(1, dim):
-            # rho(f_ij) = sum_{ab} omega_ia omega_jb rho(f^{ab})
-            low = linalg.zeros(rep.dim)
-            for a in range(1, dim):
-                wa = data.omega[i][a]
-                if not wa:
-                    continue
-                for b in range(1, dim):
-                    wb = data.omega[j][b]
-                    if wb:
-                        low = linalg.mat_add(
-                            low, linalg.mat_scale(rep.f(a, b), wa * wb)
-                        )
-            acc = linalg.mat_sub(acc, linalg.mat_mul(low, rep.f(i, j)))
-    return acc
+    idx = range(1, data.dim)
+    return linalg.mat_comb(rep.dim, [
+        (-ONE, linalg.mat_mul(lower_two(data, rep.dim, rep.f, i, j),
+                              rep.f(i, j)))
+        for i in idx for j in idx])
 
 
 def scalar_matrix_value(mat):
@@ -319,6 +302,12 @@ def scalar_matrix_value(mat):
     return c
 
 
+def ad_dual(data, k):
+    """ad d^k = sum_m r^{km} ad e_m on the whole algebra, 1 <= k <= 2N."""
+    return linalg.mat_comb(data.dim, [
+        (r, data.ad_matrix(m)) for m, r in enumerate(data.rmat[k])])
+
+
 def ad_sp(data, k):
     """Projection to the symplectic algebra of the adjoint of a dual basis
     vector: restrict ad d^k to the barred space, kill the s-component, and
@@ -327,35 +316,23 @@ def ad_sp(data, k):
     dim = data.dim
     if k == 0:
         return _bar(data.ad_matrix(0))
-    acc = None
-    for m in range(1, dim):
-        r = data.rmat[k][m]
-        if r:
-            term = linalg.mat_scale(_bar(data.ad_matrix(m)), r)
-            acc = term if acc is None else linalg.mat_add(acc, term)
-    if acc is None:
-        acc = linalg.zeros(dim - 1)
-    sp_gens = sp_gens_for(data)
-    for i in range(1, dim):
-        for j in range(1, dim):
-            c = data.c[i][j][k]
-            if c:
-                acc = linalg.mat_add(
-                    acc,
-                    linalg.mat_scale(sp_gens.e_raised[(i, j)], Fraction(c, 2)),
-                )
-    return acc
+    e_raised = sp_gens_for(data).e_raised
+    return linalg.mat_comb(dim - 1, [(ONE, _bar(ad_dual(data, k)))] + [
+        (Fraction(data.c[i][j][k], 2), e_raised[(i, j)])
+        for i in range(1, dim) for j in range(1, dim)])
 
 
 def cryptic_relation_check(rep, a, b, c, d):
     """True iff the full permutation-symmetrized product of two f's in the
-    four given indices annihilates the carrier."""
-    acc = linalg.zeros(rep.dim)
-    for p in itertools.permutations((a, b, c, d)):
-        acc = linalg.mat_add(
-            acc, linalg.mat_mul(rep.f(p[0], p[1]), rep.f(p[2], p[3]))
-        )
-    return linalg.is_zero_matrix(acc)
+    four given indices annihilates the carrier.
+
+    As f^{ij} = f^{ji}, the sum over the 24 orderings is four times the
+    sum of x y + y x over the three pairings {ab|cd}, {ac|bd}, {ad|bc}."""
+    pairs = ((rep.f(a, b), rep.f(c, d)), (rep.f(a, c), rep.f(b, d)),
+             (rep.f(a, d), rep.f(b, c)))
+    return linalg.is_zero_matrix(linalg.mat_comb(rep.dim, [
+        (ONE, linalg.mat_mul(u, v))
+        for x, y in pairs for u, v in ((x, y), (y, x))]))
 
 
 def find_cryptic_witness(rep):

@@ -11,6 +11,15 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def in_w_contact(w, p):
+    """Membership in W'_p."""
+    for (I, j) in w.coeffs:
+        need = p + 2 if j == 0 else p + 1
+        if ev.contact_degree(I) < need:
+            return False
+    return True
+
+
 def test_bracket_alternating(heis1):
     env = get_env(heis1)
     rng = random.Random(0)
@@ -95,7 +104,7 @@ def test_embed_contact_filtration(algebras):
             x = ev.dual_monomial(data.dim, I, 4)
             w = an.embed_k(env, x)
             if p >= 0:
-                assert an.in_w_contact(w, p), (I, p)
+                assert in_w_contact(w, p), (I, p)
 
 
 def test_fourier_images(algebras):

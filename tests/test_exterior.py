@@ -136,7 +136,7 @@ def test_gl_action_is_even_derivation(sl2):
 
 def test_reduction_dimensions_dim3(sl2):
     assert ex.compute_I(sl2, 1).rank == 1
-    assert ex.quotient_dim(sl2, 1) == 2
+    assert len(ex.standard_keys(sl2, 1, ex.compute_I(sl2, 1))) == 2
     assert len(ex.compute_K(sl2, 2)) == 2
     assert len(ex.compute_K(sl2, 3)) == 1
 
@@ -155,8 +155,9 @@ def test_theta_omega_operators_commute(heis2):
     rng = random.Random(5)
     for _ in range(10):
         a = rand_form(rng, 5, rng.randint(0, 2))
-        tp = ex.theta_mul(heis2, ex.omega_mul(heis2, a))
-        pt = ex.omega_mul(heis2, ex.theta_mul(heis2, a))
+        om = ex.omega_form(heis2)
+        tp = ex.theta_mul(heis2, ex.wedge(om, a))
+        pt = ex.wedge(om, ex.theta_mul(heis2, a))
         assert tp.as_dict() == pt.as_dict()
         assert ex.theta_mul(heis2, ex.theta_mul(heis2, a)).is_zero()
 

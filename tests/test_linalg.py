@@ -11,6 +11,13 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def matrix_rank(a):
+    ech = la.Echelon()
+    for row in a:
+        ech.add({j: x for j, x in enumerate(row) if x})
+    return ech.rank
+
+
 # ---------------------------------------------------------------------------
 # reference: the Gauss-Jordan elimination that `linalg` used before its
 # semi-echelon core; every row is kept fully reduced as it is added
@@ -234,7 +241,38 @@ def test_kernel_and_rank_match_sympy(sympy, n_rows, n_cols, data):
                            for combo in kern] for j in range(len(cols))])
         assert (m * k).is_zero_matrix
         assert k.rank() == len(kern)
-    assert la.matrix_rank(rows) == m.rank()
+    assert matrix_rank(rows) == m.rank()
+
+
+def test_mat_comb_empty_zero_and_fractional():
+    assert la.mat_comb(3, []) == la.zeros(3)
+    a = la.mat([[1, 2], [3, 4]])
+    assert la.mat_comb(2, [(0, a)]) == la.zeros(2)
+    third = Fraction(1, 3)
+    assert la.mat_comb(2, [(third, a), (0, a), (-third, a)]) == la.zeros(2)
+    half = la.mat_comb(2, [(Fraction(1, 2), a)])
+    assert half == la.mat([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+    # integer coefficients and entries still give Fractions
+    got = la.mat_comb(2, [(2, ((1, 0), (0, 1)))])
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_mat_comb_matches_fold(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    terms = [(rng.choice((0, q())), la.mat([[q() for _ in range(n)]
+                                             for _ in range(n)]))
+             for _ in range(rng.randint(0, 5))]
+    fold = la.zeros(n)
+    for c, m in terms:
+        fold = la.mat_add(fold, la.mat_scale(m, c))
+    assert la.mat_comb(n, terms) == fold
 
 
 @settings(max_examples=25, deadline=None)
@@ -248,7 +286,7 @@ def test_inverse_roundtrip(seed):
             [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(n)] for _ in range(n)]
         )
-        if la.matrix_rank(cand) == n:
+        if matrix_rank(cand) == n:
             mat = cand
     inv = la.inverse(mat)
     assert la.mat_mul(mat, inv) == la.identity(n)

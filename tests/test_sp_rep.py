@@ -235,7 +235,6 @@ def test_lowered_generators_entrywise(heis2_rebased):
 
 def test_projected_adjoint_entrywise(heis2_rebased):
     d = heis2_rebased
-    n2 = d.dim - 1
     r, c = d.rmat, d.c
     assert sp.ad_sp(d, 0) == tuple(
         tuple(c[0][y][x] for y in range(1, d.dim)) for x in range(1, d.dim))
@@ -245,9 +244,7 @@ def test_projected_adjoint_entrywise(heis2_rebased):
             sum(r[k][m] * c[m][y][x] for m in range(1, d.dim))
             + sum(c[i][y][k] * r[i][x] for i in range(1, d.dim)) / 2
             for y in range(1, d.dim)) for x in range(1, d.dim))
-        got = sp.ad_sp(d, k)
-        assert len(got) == n2
-        assert got == want
+        assert sp.ad_sp(d, k) == want
 
 
 def test_casimir_entrywise(heis2_rebased):
