@@ -122,10 +122,24 @@ def embed_k(env, x):
     return TruncatedWElement(dim, t, acc)
 
 
+def right_actions(env, x):
+    """x with its right actions x e_i = d_right(x, e_i) for i = 0..dim-1:
+    all that `k_bracket` reads of x, so a caller that brackets x many
+    times computes them once."""
+    data = env.data
+    return x, [d_right(env, x, data.basis_vector(i)) for i in range(data.dim)]
+
+
 def k_bracket(env, x, y):
     """Bracket of the Fourier coefficients x (x)_H e and y (x)_H e, as the
     dual-space coefficient of the result:
     sum r^{ij} (x e_i)(y e_j) + (x e_0) y - x (y e_0)."""
+    return acted_bracket(env, right_actions(env, x), right_actions(env, y))
+
+
+def acted_bracket(env, xa, ya):
+    """`k_bracket` of x and y, given as their `right_actions` pairs."""
+    (x, xe), (y, ye) = xa, ya
     data = env.data
     dim = data.dim
     t = min(x.truncation, y.truncation) - 2
@@ -133,17 +147,12 @@ def k_bracket(env, x, y):
         raise TruncationOverflow("bracket exceeds the truncation")
     acc = DualElement(dim, t, {})
     for i in range(1, dim):
-        xi = d_right(env, x, data.basis_vector(i))
         for j in range(1, dim):
             r = data.rmat[i][j]
-            if not r:
-                continue
-            yj = d_right(env, y, data.basis_vector(j))
-            acc = acc.add(dual_mul(xi, yj).truncated(t).scale(r))
-    x0 = d_right(env, x, data.basis_vector(0))
-    y0 = d_right(env, y, data.basis_vector(0))
-    acc = acc.add(dual_mul(x0, y).truncated(t))
-    acc = acc.add(dual_mul(x, y0).truncated(t).scale(-ONE))
+            if r:
+                acc = acc.add(dual_mul(xe[i], ye[j]).truncated(t).scale(r))
+    acc = acc.add(dual_mul(xe[0], y).truncated(t))
+    acc = acc.add(dual_mul(x, ye[0]).truncated(t).scale(-ONE))
     return acc
 
 
@@ -394,9 +403,10 @@ def csp_quotient_check(env, truncation=5):
                 terms.append((2 * c, sp_rep.embed_bar(data, gens.f(i, j))))
         return linalg.mat_comb(dim, terms)
 
+    acts = {lab: right_actions(env, dual_of(lab)) for lab in labels}
     for la in labels:
         for lb in labels:
-            br = k_bracket(env, dual_of(la), dual_of(lb))
+            br = acted_bracket(env, acts[la], acts[lb])
             got = class_to_gl(br)
             want = linalg.commutator(pi_of(la), pi_of(lb))
             # the quotient table lives in csp: compare modulo the abelian
@@ -449,16 +459,15 @@ def k_contact_filter_check(env, truncation=4):
     data = env.data
     dim = data.dim
     samples = [
-        (contact_degree(I) - 2, I)
+        (contact_degree(I) - 2,
+         right_actions(env, env_mod.dual_monomial(dim, I, truncation)))
         for I in env_mod.contact_indices(dim, truncation)
     ]
-    for (m, I) in samples:
-        xi = env_mod.dual_monomial(dim, I, truncation)
-        if m >= 2 and not in_w_plain(embed_k(env, xi), 1):
+    for (m, xa) in samples:
+        if m >= 2 and not in_w_plain(embed_k(env, xa[0]), 1):
             return False
-        for (n, J) in samples:
-            xj = env_mod.dual_monomial(dim, J, truncation)
-            br = k_bracket(env, xi, xj)
+        for (n, ya) in samples:
+            br = acted_bracket(env, xa, ya)
             for K in br.coeffs:
                 if contact_degree(K) < m + n + 2:
                     return False

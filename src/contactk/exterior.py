@@ -45,7 +45,9 @@ class Form:
         return not self.coeffs
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add forms of degrees {self.degree} "
+                             f"and {other.degree}")
         d = self.as_dict()
         linalg.vec_iadd(d, other.as_dict())
         return form(self.degree, d)

@@ -60,14 +60,16 @@ class _CFreeState:
     of these, so each part is built once for all of them: the carrier
     columns, the generator images without the central term, the Casimir
     on the carrier and, once the spec has siblings, the singular-space
-    column pairs per cutoff (`columns`).  A standalone spec keeps no
-    column pairs (`columns` is None): `_column_pairs` streams them."""
+    column pairs per cutoff (`columns`) and their images mod P
+    (`residues`).  A standalone spec keeps neither (both are None):
+    `_column_pairs` and `_residue_pairs` stream them."""
 
     def __init__(self):
         self.carrier = None
         self.generators = {}
         self.casimir = None
         self.columns = None
+        self.residues = None
 
 
 class TensorModuleSpec:
@@ -101,12 +103,13 @@ class TensorModuleSpec:
 
         The result and this spec are siblings: they share one
         `_CFreeState`, and from now on `_column_pairs` keeps the column
-        pairs (m0, m1) on that state, so each sibling's `singular_space`
-        only forms m0 + c m1."""
+        pairs (m0, m1) and their images mod P on that state, so each
+        sibling's `singular_space` only forms m0 + c m1."""
         twin = copy.copy(self)
         twin.c = Fraction(c)
         if self._state.columns is None:
             self._state.columns = {}
+            self._state.residues = {}
         return twin
 
     # -- carrier actions ----------------------------------------------------
@@ -299,27 +302,30 @@ def _high_part(env, raw):
     return col
 
 
-def _column_pairs(spec, cutoff):
+def _stream_pairs(spec, cutoff, labels=None):
     """((I, r), m0, m1) for every column of `singular_space`, in column
-    order: m0 is the high part of e * (e^(I) (x) u_r) without its central
-    term and m1 that of the central term at c = 1, so the column at c is
-    m0 + c m1.  A spec with siblings keeps the list on its shared state,
-    once per cutoff; a standalone spec gets a generator and keeps
-    nothing."""
+    order, or only for the labels (I, r) in the set `labels`: m0 is the
+    high part of e * (e^(I) (x) u_r) without its central term and m1 that
+    of the central term at c = 1, so the column at c is m0 + c m1."""
     env, dim = spec.env, spec.data.dim
+    for I in env_mod.contact_indices(dim, cutoff):
+        rs = [r for r in range(spec.dim_r)
+              if labels is None or (I, r) in labels]
+        if not rs:
+            continue
+        # the central term does not act on u_r: its high part is
+        # normalized once per I and relabelled for each r
+        central = _high_part(
+            env, _put_central({}, dim, {(I, 0): ONE}, ONE / 2))
+        for r in rs:
+            m0 = _high_part(env, _e_star_free(spec, {(I, r): ONE}))
+            m1 = {(F, (J, r)): x for (F, (J, _r)), x in central.items()}
+            yield (I, r), m0, m1
 
-    def pairs():
-        for I in env_mod.contact_indices(dim, cutoff):
-            # the central term does not act on u_r: its high part is
-            # normalized once per I and relabelled for each r
-            central = _high_part(
-                env, _put_central({}, dim, {(I, 0): ONE}, ONE / 2))
-            for r in range(spec.dim_r):
-                m0 = _high_part(env, _e_star_free(spec, {(I, r): ONE}))
-                m1 = {(F, (J, r)): x for (F, (J, _r)), x in central.items()}
-                yield (I, r), m0, m1
 
-    cache = spec._state.columns
+def _kept(cache, cutoff, pairs):
+    """pairs() itself when `cache` is None (a standalone spec); otherwise
+    the list of pairs() kept in `cache`, once per cutoff."""
     if cache is None:
         return pairs()
     if cutoff not in cache:
@@ -327,21 +333,71 @@ def _column_pairs(spec, cutoff):
     return cache[cutoff]
 
 
+def _column_pairs(spec, cutoff):
+    """The pairs of `_stream_pairs` for every column.  A spec with siblings
+    keeps the list on its shared state, once per cutoff; a standalone spec
+    gets a generator and keeps nothing."""
+    return _kept(spec._state.columns, cutoff,
+                 lambda: _stream_pairs(spec, cutoff))
+
+
+def _residue_pairs(spec, cutoff):
+    """((I, r), m0 mod P, m1 mod P) for each of `_column_pairs`, with None
+    for a half that has no image mod P; kept like `_column_pairs`."""
+    return _kept(spec._state.residues, cutoff, lambda: (
+        (label, linalg.vec_mod(m0), linalg.vec_mod(m1))
+        for label, m0, m1 in _column_pairs(spec, cutoff)))
+
+
 def singular_space(spec, cutoff=None):
     """Exact basis of the singular vectors with coefficient contact degree
     bounded by the cutoff (2 when the symplectic action is nontrivial,
     3 otherwise, following the degree bound for proper submodules).
 
-    Each column is m0 + c m1 from `_column_pairs`, so a standalone spec
-    and a spec with siblings (see `TensorModuleSpec.at`) eliminate the
-    same columns in the same order.  The basis vectors are dicts
-    (I, r) -> coefficient."""
+    The singular vectors are the kernel of the columns m0 + c m1 from
+    `_column_pairs`, found by `linalg.modular_kernel`: it eliminates the
+    columns modulo the prime P = 2^61 - 1, lifts each kernel vector to Q
+    by rational reconstruction and checks it exactly against the rational
+    columns of its support.  It eliminates over Q only when a column has
+    no image mod P, or a lift or a check fails.  Either way the result is
+    the list `LinearSystem.kernel` gives over Q, so reports do not depend
+    on the path:
+    - the entries are P-integral, so rank_P <= rank_Q, and
+      dim ker_Q <= dim ker_P;
+    - each lifted vector is checked to lie in ker_Q;
+    - the lifted vectors are in reduced echelon form with respect to
+      column order (a lift keeps the support, and 1 lifts to 1), so they
+      are independent: there are dim ker_P of them, so they span ker_Q;
+    - a subspace has one reduced basis, and `kernel` returns it.
+
+    Columns are streamed for a standalone spec and kept, with their
+    images mod P, for one with siblings (see `TensorModuleSpec.at`); both
+    eliminate the same columns in the same order.  The basis vectors are
+    dicts (I, r) -> coefficient."""
     if cutoff is None:
         cutoff = default_cutoff(spec)
-    sys = LinearSystem()
-    for label, m0, m1 in _column_pairs(spec, cutoff):
-        sys.add_column(label, vec_iadd(dict(m0), m1, spec.c))
-    return sys.kernel(), cutoff
+    c = spec.c
+    c_mod = linalg.to_mod(c)
+
+    def residues():
+        for label, m0, m1 in _residue_pairs(spec, cutoff):
+            if c_mod is None or m0 is None or m1 is None:
+                yield label, None
+            else:
+                yield label, linalg.GF_P.iadd(dict(m0), m1, c_mod)
+
+    def columns(labels):
+        if labels is None:
+            pairs = _column_pairs(spec, cutoff)
+        elif spec._state.columns is None:
+            pairs = _stream_pairs(spec, cutoff, labels)
+        else:
+            pairs = [t for t in _column_pairs(spec, cutoff)
+                     if t[0] in labels]
+        for label, m0, m1 in pairs:
+            yield label, vec_iadd(dict(m0), m1, c)
+
+    return linalg.modular_kernel(residues(), columns), cutoff
 
 
 def default_cutoff(spec):

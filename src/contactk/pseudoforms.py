@@ -57,7 +57,9 @@ class PseudoForm:
         return not self.coeffs
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add pseudoforms of degrees "
+                             f"{self.degree} and {other.degree}")
         d = self.as_dict()
         vec_iadd(d, other.as_dict())
         return pform(self.degree, d)
@@ -236,7 +238,9 @@ def rumin_map(env, a, reverse=False):
     order and vanishes on H (x) I^N."""
     data = env.data
     nn = data.N
-    assert a.degree == nn
+    if a.degree != nn:
+        raise ValueError(f"the Rumin map acts on degree {nn}, "
+                         f"not {a.degree}")
     da = pseudo_d(env, a)
     gamma_terms = {}
     for I in pf_h_support(da):
@@ -553,7 +557,9 @@ def sample_exactness(env, members, hmats, term, degree_bound):
     dict whose `failures` name the kernel vectors without a preimage; the
     term is exact in the window when that list is empty.
     """
-    assert 1 <= term <= len(members) - 2
+    if not 1 <= term <= len(members) - 2:
+        raise ValueError(f"term {term} is not interior to a complex of "
+                         f"{len(members)} members")
     data = env.data
     outgoing = hmats[term]
     incoming = hmats[term - 1]

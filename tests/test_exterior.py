@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,12 @@ def rand_form(rng, dim, n, terms=2):
 def test_wedge_square_of_covector_is_zero():
     x0 = ex.one_form(0)
     assert ex.wedge(x0, x0).is_zero()
+
+
+def test_adding_forms_of_different_degrees_raises():
+    # a ValueError, not an assert, so that the guard holds under python -O
+    with pytest.raises(ValueError, match="degrees 1 and 2"):
+        ex.one_form(0) + ex.wedge(ex.one_form(0), ex.one_form(1))
 
 
 def test_contact_volume(algebras):

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from contactk import cli
+from contactk import cli, linalg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
@@ -66,3 +66,19 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
         want = fh.read()
     assert out.read_bytes() == want
+
+
+def test_classify_heis2_needs_no_exact_fallback(tmp_path, monkeypatch):
+    # every singular space of the scan is found mod P, lifted and checked:
+    # with the exact elimination disabled the report is still the golden one
+    def no_fallback(columns):
+        raise AssertionError("singular_space fell back to exact elimination")
+
+    monkeypatch.setattr(linalg, "exact_kernel", no_fallback)
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.json"
+    code = cli.main(CASES["classify_heis2"] + ["--format", "json", "--out",
+                                               str(out)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, "classify_heis2.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

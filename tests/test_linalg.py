@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -184,9 +185,91 @@ def test_semi_echelon_matches_gauss_jordan(seed):
         sys.add_column(("col", j), col)
         ref_sys.add_column(("col", j), col)
     assert sys.kernel() == ref_sys.kernel()
+    # found mod P and lifted: the same list, in the same entry order
+    lifted, fell_back = _modular_kernel(
+        [(("col", j), col) for j, col in enumerate(rows)])
+    assert not fell_back
+    assert _items(lifted) == _items(sys.kernel())
     assert sys.image_rank() == ref_sys.image_rank()
     for vec in probes:
         assert sys.solve(vec) == ref_sys.solve(vec)
+
+
+def _items(kernel):
+    return [list(vec.items()) for vec in kernel]
+
+
+def _modular_kernel(cols):
+    """la.modular_kernel of the (label, column) pairs, and whether it ran
+    the exact fallback, the one reader of every column."""
+    asked = []
+
+    def columns(labels):
+        asked.append(labels)
+        return [(lab, vec) for lab, vec in cols
+                if labels is None or lab in labels]
+
+    residues = ((lab, la.vec_mod(vec)) for lab, vec in cols)
+    return la.modular_kernel(residues, columns), None in asked
+
+
+def test_rational_lift_roundtrip():
+    rng = random.Random(5)
+    bound = la.LIFT_BOUND
+    assert bound == math.isqrt(la.P // 2)
+    values = [ZERO, ONE, -ONE, Fraction(bound), Fraction(-bound, bound - 1),
+              Fraction(1, bound)]
+    values += [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+               for _ in range(200)]
+    for x in values:
+        assert la.rational_lift(la.to_mod(x)) == x
+    # beyond the bound nothing lifts back to x
+    for x in (Fraction(bound + 1), Fraction(1, bound + 2), Fraction(3**40)):
+        assert la.rational_lift(la.to_mod(x)) != x
+    assert la.to_mod(Fraction(1, la.P)) is None
+    assert la.vec_mod({0: ONE, 1: Fraction(2, la.P)}) is None
+    assert la.vec_mod({0: Fraction(la.P), 1: Fraction(-1, 2)}) == {
+        1: (la.P - 1) // 2}
+
+
+def test_gf_p_echelon_inverts_mod_p():
+    ech = la.Echelon(la.GF_P)
+    assert ech.add({0: 3, 1: 5}) == 0
+    assert ech.rows[0] == {0: 1, 1: 5 * pow(3, -1, la.P) % la.P}
+    assert ech.add({0: 6, 1: 10}) is None
+    assert ech.add({1: la.P - 1}) == 1
+    assert ech.basis() == [{0: 1}, {1: 1}]
+
+
+P = la.P
+BIG = 3**25  # beyond LIFT_BOUND
+
+
+@pytest.mark.parametrize("cols", [
+    # a denominator divisible by P: the column has no image mod P
+    [("a", {0: Fraction(1, P)}), ("b", {0: ONE}), ("c", {1: ONE})],
+    # a nonzero entry that vanishes mod P: the rank drops mod P, and the
+    # lifted kernel vector {a: 1} fails the exact check
+    [("a", {0: Fraction(P)}), ("b", {0: ONE}), ("c", {0: ONE, 1: ONE})],
+    # a kernel coefficient -BIG beyond the lifting bound
+    [("a", {0: Fraction(BIG), 1: ONE}), ("b", {0: ONE}), ("c", {1: -ONE})],
+], ids=["denominator-p", "rank-drop", "big-coefficient"])
+def test_modular_kernel_falls_back_to_exact(cols):
+    got, fell_back = _modular_kernel(cols)
+    assert fell_back
+    assert _items(got) == _items(la.exact_kernel(cols))
+    assert got  # each case has a kernel, so the comparison is not empty
+
+
+def test_modular_kernel_lifts_without_fallback():
+    cols = [("a", {0: ONE, 1: Fraction(1, 2)}), ("b", {0: Fraction(2), 1: ONE}),
+            ("c", {}), ("d", {1: Fraction(-3, 7)}), ("e", {0: Fraction(5)})]
+    got, fell_back = _modular_kernel(cols)
+    assert not fell_back
+    assert _items(got) == _items(la.exact_kernel(cols)) == [
+        [("a", ONE), ("d", Fraction(7, 6)), ("e", Fraction(-1, 5))],
+        [("b", ONE), ("d", Fraction(7, 3)), ("e", Fraction(-2, 5))],
+        [("c", ONE)]]
 
 
 @settings(max_examples=30, deadline=None)

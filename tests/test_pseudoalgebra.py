@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import make_spec, twisted_contact_complex
 
 from contactk import cli
+from contactk import contact_lie as cl
 from contactk import enveloping as ev
 from contactk import exterior as ex
 from contactk import linalg as la
@@ -501,6 +503,44 @@ def test_standalone_spec_streams_its_columns(heis1, monkeypatch):
     assert pa.singular_space(sib) == (basis, cutoff)
     assert isinstance(returned[1], list)
     assert spec._state.columns == {cutoff: returned[1]}
+
+
+def _exact_singular_space(spec, cutoff):
+    sys = la.LinearSystem()
+    for label, m0, m1 in pa._column_pairs(spec, cutoff):
+        sys.add_column(label, la.vec_iadd(dict(m0), m1, spec.c))
+    return sys.kernel()
+
+
+def test_modular_singular_space_matches_exact(sl2, heis1, heis2,
+                                              heis2_rebased, monkeypatch):
+    # every point of the default scans, and the reducible points plus the
+    # first c of the re-based datum (its exact eliminations are slow): the
+    # kernel found mod P, lifted and checked is the exact kernel, vector by
+    # vector and entry by entry, and no point needs the exact fallback
+    def no_fallback(columns):
+        raise AssertionError("singular_space fell back to exact elimination")
+
+    monkeypatch.setattr(la, "exact_kernel", no_fallback)
+    nonuni_file = cl.load_algebra_file(
+        os.path.join(os.path.dirname(__file__), "data", "nonuni.json"))
+    for data, every_c in ((sl2, True), (heis1, True), (heis2, True),
+                          (nonuni_file, True), (heis2_rebased, False)):
+        gens = sp.sp_gens_for(data)
+        twist = cli.builtin_twist(data, "trivial")
+        window = range(-3, 2 * data.N + 5)
+        for name in ["trivial"] + [f"pi:{n}" for n in range(1, data.N + 1)] \
+                + ["sym2"]:
+            rep, (kind, p) = cli.builtin_u(data, gens, name)
+            base = pa.TensorModuleSpec(data, twist, rep, window[0])
+            cs = window if every_c else [window[0]] + [
+                c for c in window if pa.expected_verdict(kind, p, c, data.N)[0]]
+            for c in cs:
+                spec = base.at(c)
+                basis, cutoff = pa.singular_space(spec)
+                want = _exact_singular_space(spec, cutoff)
+                assert [list(v.items()) for v in basis] == \
+                    [list(v.items()) for v in want], (data.dim, name, c)
 
 
 def _filtration_dims_per_degree(basis, cutoff):

@@ -143,6 +143,36 @@ def test_exactness_sampling(heis1):
         range(rep["kernel_dim_in_window"]))
 
 
+# the guards below raise ValueError, not AssertionError, so that they
+# hold under python -O
+
+
+def test_pseudoform_sum_checks_degrees():
+    import pytest
+
+    a = pfm.pform(1, {((0, 1, 0), (2,)): ONE})
+    with pytest.raises(ValueError, match="degrees 1 and 0"):
+        a + pfm.pform(0, {((0, 1, 0), ()): ONE})
+
+
+def test_rumin_map_checks_degree(heis1):
+    import pytest
+
+    with pytest.raises(ValueError, match="degree 1, not 0"):
+        pfm.rumin_map(get_env(heis1), pfm.pform(0, {((0, 1, 0), ()): ONE}))
+
+
+def test_sample_exactness_checks_term(heis1):
+    import pytest
+
+    env = get_env(heis1)
+    members = pfm.contact_complex_members(heis1)
+    hmats = pfm.contact_complex_hmats(env, members)
+    for term in (0, len(members) - 1):
+        with pytest.raises(ValueError, match="not interior"):
+            pfm.sample_exactness(env, members, hmats, term, 4)
+
+
 def test_twist_validates_brackets(heis1):
     import pytest
 
