@@ -124,21 +124,17 @@ def embed_k(env, x):
 
 def right_actions(env, x):
     """x with its right actions x e_i = d_right(x, e_i) for i = 0..dim-1:
-    all that `k_bracket` reads of x, so a caller that brackets x many
+    all that `acted_bracket` reads of x, so a caller that brackets x many
     times computes them once."""
     data = env.data
     return x, [d_right(env, x, data.basis_vector(i)) for i in range(data.dim)]
 
 
-def k_bracket(env, x, y):
+def acted_bracket(env, xa, ya):
     """Bracket of the Fourier coefficients x (x)_H e and y (x)_H e, as the
     dual-space coefficient of the result:
-    sum r^{ij} (x e_i)(y e_j) + (x e_0) y - x (y e_0)."""
-    return acted_bracket(env, right_actions(env, x), right_actions(env, y))
-
-
-def acted_bracket(env, xa, ya):
-    """`k_bracket` of x and y, given as their `right_actions` pairs."""
+    sum r^{ij} (x e_i)(y e_j) + (x e_0) y - x (y e_0),
+    with x and y given as their `right_actions` pairs."""
     (x, xe), (y, ye) = xa, ya
     data = env.data
     dim = data.dim

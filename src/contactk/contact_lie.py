@@ -223,19 +223,25 @@ def build_contact_data(dim, structure_constants, theta):
         raise NotContact("ker theta has wrong dimension")  # pragma: no cover
 
     cols = [tuple(s)] + [tuple(v) for v in bar]
-    pmat = tuple(zip(*cols))  # columns are the new basis vectors
-    pinv = linalg.inverse(pmat)
+    cprime, pmat = _constants_in(lambda u, v: _bracket(c, u, v, dim), cols)
+    return _finalize(dim, cprime, pmat)
 
-    cprime = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+
+def _constants_in(bracket, cols):
+    """The structure constants in the basis `cols` of coordinate vectors,
+    c[a][b] holding the coordinates of bracket(cols[a], cols[b]), and the
+    matrix whose columns are `cols`."""
+    dim = len(cols)
+    pmat = tuple(zip(*cols))
+    pinv = linalg.inverse(pmat)
+    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for a in range(dim):
         for b in range(a + 1, dim):
-            w = _bracket(c, cols[a], cols[b], dim)
-            coords = linalg.mat_vec(pinv, tuple(w))
+            coords = linalg.mat_vec(pinv, bracket(cols[a], cols[b]))
             for k in range(dim):
-                cprime[a][b][k] = coords[k]
-                cprime[b][a][k] = -coords[k]
-
-    return _finalize(dim, cprime, pmat)
+                c[a][b][k] = coords[k]
+                c[b][a][k] = -coords[k]
+    return c, pmat
 
 
 def _finalize(dim, c, input_basis):
@@ -279,19 +285,8 @@ def _finalize(dim, c, input_basis):
 
 def rebase(data, new_basis):
     """Rebuild the datum in a new basis (columns, normalized coordinates)."""
-    dim = data.dim
-    pmat = tuple(zip(*new_basis))
-    pinv = linalg.inverse(pmat)
-    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            w = data.bracket_vec(new_basis[a], new_basis[b])
-            coords = linalg.mat_vec(pinv, w)
-            for k in range(dim):
-                c[a][b][k] = coords[k]
-                c[b][a][k] = -coords[k]
-    combined = linalg.mat_mul(data.input_basis, pmat)
-    return _finalize(dim, c, combined)
+    c, pmat = _constants_in(data.bracket_vec, new_basis)
+    return _finalize(data.dim, c, linalg.mat_mul(data.input_basis, pmat))
 
 
 def symplectic_basis(data):

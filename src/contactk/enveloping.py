@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import linalg
+from .linalg import vec_add, vec_iadd, vec_put, vec_scale, vec_sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,18 +93,6 @@ def contact_indices(dim, max_contact):
     return sorted(out)
 
 
-def scale(u, c):
-    return linalg.vec_scale(u, c)
-
-
-def iadd(acc, u, c=ONE):
-    return linalg.vec_iadd(acc, u, c)
-
-
-def add(u, v):
-    return linalg.vec_add(u, v)
-
-
 def unit(dim):
     return {unit_index(dim): ONE}
 
@@ -159,10 +147,10 @@ class Enveloping:
             out = {}
             # e_j e_k = e_k e_j + [e_j, e_k]
             for M, c in self.gen_mul(j, Iprime).items():
-                iadd(out, self.gen_mul(k, M), c)
+                vec_iadd(out, self.gen_mul(k, M), c)
             for l, cv in self.data.bracket_basis(j, k):
-                iadd(out, self.gen_mul(l, Iprime), cv)
-            out = scale(out, Fraction(1, I[k]))
+                vec_iadd(out, self.gen_mul(l, Iprime), cv)
+            out = vec_scale(out, Fraction(1, I[k]))
         self._gen_mul[key] = out
         return out
 
@@ -177,11 +165,11 @@ class Enveloping:
             for _ in range(I[g]):
                 nxt = {}
                 for M, c in acc.items():
-                    iadd(nxt, self.gen_mul(g, M), c)
+                    vec_iadd(nxt, self.gen_mul(g, M), c)
                 acc = nxt
             if I[g]:
                 denom *= Fraction(1, math.factorial(I[g]))
-        out = scale(acc, denom)
+        out = vec_scale(acc, denom)
         self._mono_mul[(I, J)] = out
         return out
 
@@ -189,7 +177,7 @@ class Enveloping:
         out = {}
         for I, a in u.items():
             for J, b in v.items():
-                iadd(out, self.mono_mul(I, J), a * b)
+                vec_iadd(out, self.mono_mul(I, J), a * b)
         return out
 
     def mul_many(self, *els):
@@ -199,7 +187,19 @@ class Enveloping:
         return acc
 
     def bracket(self, u, v):
-        return linalg.vec_sub(self.mul(u, v), self.mul(v, u))
+        return vec_sub(self.mul(u, v), self.mul(v, u))
+
+    def tensor_mul(self, x, y):
+        """The product in H (x) H of two dicts (I, J) -> coefficient:
+        (e^(A) (x) e^(B)) (e^(C) (x) e^(D)) = e^(A) e^(C) (x) e^(B) e^(D)."""
+        out = {}
+        for (A, B), cx in x.items():
+            for (C, D), cy in y.items():
+                right = self.mono_mul(B, D).items()
+                for P, cp in self.mono_mul(A, C).items():
+                    for Q, cq in right:
+                        vec_put(out, (P, Q), cx * cy * cp * cq)
+        return out
 
     # -- Hopf structure ----------------------------------------------------
 
@@ -231,19 +231,19 @@ class Enveloping:
             for _ in range(I[g]):
                 nxt = {}
                 for M, c in acc.items():
-                    iadd(nxt, self.gen_mul(g, M), c)
+                    vec_iadd(nxt, self.gen_mul(g, M), c)
                 acc = nxt
             if I[g]:
                 denom *= Fraction(1, math.factorial(I[g]))
         sign = -ONE if plain_degree(I) % 2 else ONE
-        out = scale(acc, sign * denom)
+        out = vec_scale(acc, sign * denom)
         self._antipode[I] = out
         return out
 
     def antipode(self, u):
         out = {}
         for I, c in u.items():
-            iadd(out, self.antipode_basis(I), c)
+            vec_iadd(out, self.antipode_basis(I), c)
         return out
 
     # -- normal forms of (H (x) H) (x)_H V ---------------------------------
@@ -330,7 +330,7 @@ class DualElement:
         return f"{type(self).__name__}(T={self.truncation}, {self.coeffs})"
 
     def scale(self, c):
-        return type(self)(self.dim, self.truncation, scale(self.coeffs, c))
+        return type(self)(self.dim, self.truncation, vec_scale(self.coeffs, c))
 
     def add(self, other):
         t = min(self.truncation, other.truncation)
@@ -424,8 +424,8 @@ def symmetrize(env, elements):
     n = len(elements)
     acc = {}
     for perm in itertools.permutations(range(n)):
-        iadd(acc, env.mul_many(*(elements[p] for p in perm)))
-    return scale(acc, Fraction(1, math.factorial(n)))
+        vec_iadd(acc, env.mul_many(*(elements[p] for p in perm)))
+    return vec_scale(acc, Fraction(1, math.factorial(n)))
 
 
 def symmetrization_identity_check(env, a, b, c, d=None):
@@ -443,11 +443,11 @@ def _triple_identity(env, a, b, c):
     rhs = symmetrize(env, [a, b, c])
     half = Fraction(1, 2)
     sixth = Fraction(1, 6)
-    rhs = add(rhs, scale(symmetrize(env, [a, br(b, c)]), half))
-    rhs = add(rhs, scale(symmetrize(env, [b, br(a, c)]), half))
-    rhs = add(rhs, scale(symmetrize(env, [c, br(a, b)]), half))
-    rhs = add(rhs, scale(br(a, br(b, c)), sixth))
-    rhs = add(rhs, scale(br(br(a, b), c), sixth))
+    rhs = vec_add(rhs, vec_scale(symmetrize(env, [a, br(b, c)]), half))
+    rhs = vec_add(rhs, vec_scale(symmetrize(env, [b, br(a, c)]), half))
+    rhs = vec_add(rhs, vec_scale(symmetrize(env, [c, br(a, b)]), half))
+    rhs = vec_add(rhs, vec_scale(br(a, br(b, c)), sixth))
+    rhs = vec_add(rhs, vec_scale(br(br(a, b), c), sixth))
     return lhs == rhs
 
 
@@ -464,18 +464,18 @@ def _quadruple_identity(env, a, b, c, d):
         (a, b, c, d), (a, c, b, d), (a, d, b, c),
         (b, c, a, d), (b, d, a, c), (c, d, a, b),
     ):
-        rhs = add(rhs, scale(sym(x, y, br(u, v)), half))
+        rhs = vec_add(rhs, vec_scale(sym(x, y, br(u, v)), half))
     for (x, y), (u, v) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        rhs = add(rhs, scale(sym(br(x, y), br(u, v)), quarter))
+        rhs = vec_add(rhs, vec_scale(sym(br(x, y), br(u, v)), quarter))
     for x, p in (
         (a, br(b, br(c, d))), (a, br(br(b, c), d)),
         (b, br(a, br(c, d))), (b, br(br(a, c), d)),
         (c, br(a, br(b, d))), (c, br(br(a, b), d)),
         (d, br(a, br(b, c))), (d, br(br(a, b), c)),
     ):
-        rhs = add(rhs, scale(sym(x, p), sixth))
-    rhs = add(rhs, scale(br(br(br(c, d), b), a), sixth))
-    rhs = add(rhs, scale(br(br(br(b, d), c), a), -sixth))
+        rhs = vec_add(rhs, vec_scale(sym(x, p), sixth))
+    rhs = vec_add(rhs, vec_scale(br(br(br(c, d), b), a), sixth))
+    rhs = vec_add(rhs, vec_scale(br(br(br(b, d), c), a), -sixth))
     for (x, y), (u, v) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        rhs = add(rhs, scale(br(br(x, y), br(u, v)), twelfth))
+        rhs = vec_add(rhs, vec_scale(br(br(x, y), br(u, v)), twelfth))
     return lhs == rhs

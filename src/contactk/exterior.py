@@ -25,9 +25,13 @@ ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class Form:
+class Graded:
+    """A graded sparse element: a degree and a sorted tuple of (key,
+    coefficient) pairs without zeros.  A subclass supplies `build(degree,
+    coeffs)`, which makes an instance from a dict or a list of pairs."""
+
     degree: int
-    coeffs: tuple  # sorted tuple of (index_tuple, Fraction)
+    coeffs: tuple
 
     def items(self):
         return self.coeffs
@@ -50,16 +54,24 @@ class Form:
                              f"and {other.degree}")
         d = self.as_dict()
         linalg.vec_iadd(d, other.as_dict())
-        return form(self.degree, d)
+        return self.build(self.degree, d)
 
     def __sub__(self, other):
         return self + (-ONE) * other
 
     def __rmul__(self, c):
-        return form(self.degree, linalg.vec_scale(self.as_dict(), c))
+        return self.build(self.degree, linalg.vec_scale(self.as_dict(), c))
 
     def __neg__(self):
         return (-ONE) * self
+
+
+class Form(Graded):
+    """A constant form; keys are increasing index tuples."""
+
+    @staticmethod
+    def build(degree, coeffs):
+        return form(degree, coeffs)
 
 
 def form(degree, coeffs):

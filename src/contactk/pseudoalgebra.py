@@ -508,25 +508,17 @@ def fourier_act(spec, x, v):
 
 def rho_sing_iprime(spec, v):
     """Action of the grading element on a singular vector, through the
-    quadratic Fourier coefficients."""
+    quadratic Fourier coefficients: minus the action of the one functional
+    2 x^0 + sum_{i<j} omega_ij x^i x^j, as `fourier_act` is linear in it."""
     data = spec.data
     dim = data.dim
-    t = 4
-    acc = {}
-    x0 = env_mod.dual_covector(dim, 0, t)
-    for key, c in fourier_act(spec, x0, v).items():
-        vec_put(acc, key, 2 * c)
+    eps = [env_mod.eps(dim, i) for i in range(dim)]
+    coeffs = {eps[0]: 2}
     for i in range(1, dim):
         for j in range(i + 1, dim):
-            w = data.omega[i][j]
-            if not w:
-                continue
-            xij = env_mod.dual_monomial(
-                dim, env_mod.add_index(tuple(env_mod.eps(dim, i)),
-                                       tuple(env_mod.eps(dim, j))), t)
-            for key, c in fourier_act(spec, xij, v).items():
-                vec_put(acc, key, w * c)
-    return {k: -c for k, c in acc.items()}
+            coeffs[env_mod.add_index(eps[i], eps[j])] = data.omega[i][j]
+    x = env_mod.DualElement(dim, 4, coeffs)
+    return {k: -c for k, c in fourier_act(spec, x, v).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -688,19 +680,14 @@ def _jacobi_holds(spec, v):
             for vk, c in t.items():
                 vec_put(acc, vk, -c)
 
+    # g . D(e^(F)) in H (x) H, tensored with w_F
     lhs = {}
     g = bracket_element(data)
     for F, w in left1.items():
-        split = env.coproduct({F: ONE}).items()
-        for (P, Q), cg in g.items():
-            for (F1, F2), cf in split:
-                a = env.mono_mul(P, F1)
-                b = env.mono_mul(Q, F2)
-                for A, ca in a.items():
-                    for B, cb in b.items():
-                        acc = lhs.setdefault((A, B), {})
-                        for vk, c in w.items():
-                            vec_put(acc, vk, cg * cf * ca * cb * c)
+        for key, cg in env.tensor_mul(g, env.coproduct({F: ONE})).items():
+            acc = lhs.setdefault(key, {})
+            for vk, c in w.items():
+                vec_put(acc, vk, cg * c)
 
     lhs = {k: t for k, t in lhs.items() if t}
     rhs = {k: t for k, t in rhs.items() if t}
@@ -837,9 +824,7 @@ def member_tensor_spec(data, member, twist=None):
     V(Pi (x) k_{-tr ad}, U, c + 2N + 2): Pi shifted by minus the trace
     character, c by 2N + 2."""
     gens = sp_rep.sp_gens_for(data)
-    rep = sp_rep.rep_from_action(
-        data, gens, member.dim, member.sp_action_matrix
-    )
+    rep = sp_rep.form_rep(data, gens, member.basis, member.form_coords)
     tv = twist if twist is not None else pseudoforms.trivial_twist(data)
     tv = pseudoforms.twist_times_character(tv, [-x for x in data.trace_ad])
     return TensorModuleSpec(data, tv, rep, member.natural_c + 2 * data.N + 2)

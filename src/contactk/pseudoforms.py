@@ -42,36 +42,13 @@ class SolveFailure(ArithmeticError):
     """The Rumin completion system was inconsistent (internal bug)."""
 
 
-@dataclass(frozen=True)
-class PseudoForm:
-    degree: int
-    coeffs: tuple  # sorted tuple of ((I, S), Fraction)
+class PseudoForm(exterior.Graded):
+    """A pseudoform; keys are pairs (I, S) of a multi-index and an
+    increasing index tuple."""
 
-    def items(self):
-        return self.coeffs
-
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add pseudoforms of degrees "
-                             f"{self.degree} and {other.degree}")
-        d = self.as_dict()
-        vec_iadd(d, other.as_dict())
-        return pform(self.degree, d)
-
-    def __sub__(self, other):
-        return self + (-ONE) * other
-
-    def __rmul__(self, c):
-        return pform(self.degree, linalg.vec_scale(self.as_dict(), c))
-
-    def __neg__(self):
-        return (-ONE) * self
+    @staticmethod
+    def build(degree, coeffs):
+        return pform(degree, coeffs)
 
 
 def pform(degree, coeffs):
@@ -381,20 +358,6 @@ class CarrierModule:
                 if c:
                     out[(I, idx)] = c
         return out
-
-    def sp_action_matrix(self, mat_bar):
-        """Carrier matrix of a barred gl-matrix acting on forms."""
-        from .sp_rep import embed_bar
-
-        full = embed_bar(self.data, mat_bar)
-        cols = []
-        for f in self.basis:
-            img = exterior.gl_act(self.data, full, f)
-            cols.append(self.form_coords(img))
-        return tuple(
-            tuple(cols[c].get(r, ZERO) for c in range(self.dim))
-            for r in range(self.dim)
-        )
 
 
 def contact_complex_members(data):

@@ -253,20 +253,24 @@ def fundamental_rep(data, sp_gens, n):
     sys = LinearSystem()
     for k, f in enumerate(basis):
         sys.add_column(k, f.as_dict())
+    return form_rep(data, sp_gens, basis, lambda f: sys.solve(f.as_dict()))
+
+
+def form_rep(data, sp_gens, basis, coords):
+    """The symplectic algebra acting by the form action on the span of the
+    constant forms `basis`: column k of each matrix is coords(f . basis[k]),
+    a dict index -> coefficient, or None if the image leaves the span."""
 
     def act(fbar):
         full = embed_bar(data, fbar)
         cols = []
         for f in basis:
-            img = exterior.gl_act(data, full, f)
-            sol = sys.solve(img.as_dict())
+            sol = coords(exterior.gl_act(data, full, f))
             if sol is None:  # pragma: no cover
                 raise ArithmeticError("action does not preserve the subspace")
             cols.append(sol)
-        return tuple(
-            tuple(cols[c].get(r, ZERO) for c in range(len(basis)))
-            for r in range(len(basis))
-        )
+        return tuple(tuple(col.get(r, ZERO) for col in cols)
+                     for r in range(len(basis)))
 
     return rep_from_action(data, sp_gens, len(basis), act)
 

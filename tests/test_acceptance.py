@@ -19,6 +19,7 @@ from contactk import cli
 from contactk import contact_lie as cl
 from contactk import enveloping as ev
 from contactk import exterior as ex
+from contactk import linalg
 from contactk import pseudoalgebra as pa
 from contactk import pseudoforms as pfm
 from contactk import report as report_mod
@@ -136,10 +137,10 @@ def test_criterion_3_hopf():
             acc, acc2 = {}, {}
             cou_l, cou_r = {}, {}
             for (J, K), c in env.coproduct({I: ONE}).items():
-                ev.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
-                ev.iadd(acc2, env.mul({J: ONE}, env.antipode_basis(K)), c)
-                ev.iadd(cou_l, {K: ONE}, c * env.counit({J: ONE}))
-                ev.iadd(cou_r, {J: ONE}, c * env.counit({K: ONE}))
+                linalg.vec_iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
+                linalg.vec_iadd(acc2, env.mul({J: ONE}, env.antipode_basis(K)), c)
+                linalg.vec_iadd(cou_l, {K: ONE}, c * env.counit({J: ONE}))
+                linalg.vec_iadd(cou_r, {J: ONE}, c * env.counit({K: ONE}))
             ok &= acc == want and acc2 == want
             ok &= cou_l == {I: ONE} and cou_r == {I: ONE}
             trip = {}
@@ -158,7 +159,7 @@ def test_criterion_3_hopf():
             I = rng.choice(ev.multi_indices(3, 5))
             acc = {}
             for (J, K), c in env.coproduct({I: ONE}).items():
-                ev.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
+                linalg.vec_iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
             ok &= acc == (ev.unit(3) if sum(I) == 0 else {})
         idx = ev.multi_indices(3, 2)
         for I in idx:

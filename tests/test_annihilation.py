@@ -161,7 +161,8 @@ def test_k_bracket_matches_w_bracket(heis1):
         J = rng.choice(ev.contact_indices(3, 5))
         x = ev.dual_monomial(3, I, 5)
         y = ev.dual_monomial(3, J, 5)
-        via_k = an.embed_k(env, an.k_bracket(env, x, y))
+        via_k = an.embed_k(env, an.acted_bracket(
+            env, an.right_actions(env, x), an.right_actions(env, y)))
         via_w = an.w_bracket(env, an.embed_k(env, x), an.embed_k(env, y))
         t = min(via_k.truncation, via_w.truncation)
         assert via_k.truncated(t).coeffs == via_w.truncated(t).coeffs, (I, J)

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactk import contact_lie as cl
+from contactk import linalg as la
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,6 +83,38 @@ def test_symplectic_duals(heis2):
     for i in range(1, ds.N + 1):
         assert ds.dual_vector(i) == tuple(-x for x in ds.basis_vector(i + ds.N))
         assert ds.dual_vector(i + ds.N) == ds.basis_vector(i)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis2", "nonuni", "heis2_rebased"])
+def test_rebase_to_identity_is_unchanged(name, request):
+    data = request.getfixturevalue(name)
+    same = cl.rebase(data, [data.basis_vector(i) for i in range(data.dim)])
+    assert same == data
+
+
+@pytest.mark.parametrize("name", ["heis2", "heis2_rebased"])
+def test_rebase_and_back_restores_constants(name, request):
+    # keep s and mix ker theta by a seeded invertible integer matrix B;
+    # rebasing to B and then to B^-1 (coordinates in the new basis) must
+    # give back the structure constants and the datum
+    data = request.getfixturevalue(name)
+    rng = random.Random(3)
+    n2 = data.dim - 1
+    while True:
+        block = [[rng.randint(-2, 2) for _ in range(n2)] for _ in range(n2)]
+        try:
+            la.inverse(block)
+            break
+        except ValueError:
+            continue
+    basis = [data.basis_vector(0)] + [
+        (ZERO,) + tuple(Fraction(block[i][k]) for i in range(n2))
+        for k in range(n2)]
+    moved = cl.rebase(data, basis)
+    assert moved.c != data.c
+    back = cl.rebase(moved, list(zip(*la.inverse(tuple(zip(*basis))))))
+    assert back.c == data.c
+    assert back == data
 
 
 def test_remark_identity(algebras, nonuni):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactk import enveloping as ev
+from contactk import linalg
 from contactk.enveloping import get_env
 
 ZERO = Fraction(0)
@@ -36,7 +37,7 @@ def test_sl2_relation_and_associativity_spot(sl2):
     fe = env.mul(gen(3, 2), gen(3, 1))
     ef = env.mul(gen(3, 1), gen(3, 2))
     diff = dict(fe)
-    ev.iadd(diff, ef, -ONE)
+    linalg.vec_iadd(diff, ef, -ONE)
     assert diff == {(1, 0, 0): ONE}  # [f, e] = -h = e_0
     lhs = env.mul(env.mul(gen(3, 1), gen(3, 2)), gen(3, 0))
     rhs = env.mul(gen(3, 1), env.mul(gen(3, 2), gen(3, 0)))
@@ -115,31 +116,57 @@ def test_coproduct_basis(heis1):
     }
 
 
+def tensor_mul_fold(env, t1, t2):
+    """The product in H (x) H as a nested loop over the terms of both
+    factors and of both legs' products."""
+    out = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            for A, ca in env.mono_mul(a1, a2).items():
+                for B, cb in env.mono_mul(b1, b2).items():
+                    key = (A, B)
+                    w = out.get(key, ZERO) + c1 * c2 * ca * cb
+                    if w:
+                        out[key] = w
+                    else:
+                        out.pop(key, None)
+    return out
+
+
 def test_coproduct_is_algebra_map(sl2):
     env = get_env(sl2)
     rng = random.Random(0)
     idx = ev.multi_indices(3, 2)
-
-    def tensor_mul(t1, t2):
-        out = {}
-        for (a1, b1), c1 in t1.items():
-            for (a2, b2), c2 in t2.items():
-                for A, ca in env.mono_mul(a1, a2).items():
-                    for B, cb in env.mono_mul(b1, b2).items():
-                        key = (A, B)
-                        w = out.get(key, ZERO) + c1 * c2 * ca * cb
-                        if w:
-                            out[key] = w
-                        else:
-                            out.pop(key, None)
-        return out
-
     for _ in range(15):
         u = {rng.choice(idx): Fraction(rng.randint(-3, 3))}
         v = {rng.choice(idx): Fraction(rng.randint(-3, 3))}
-        assert env.coproduct(env.mul(u, v)) == tensor_mul(
-            env.coproduct(u), env.coproduct(v)
+        assert env.coproduct(env.mul(u, v)) == tensor_mul_fold(
+            env, env.coproduct(u), env.coproduct(v)
         )
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis2"])
+def test_tensor_mul_matches_fold(name, request):
+    data = request.getfixturevalue(name)
+    env = get_env(data)
+    rng = random.Random(17)
+    idx = ev.multi_indices(data.dim, 2)
+
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    def rand_element():
+        return {rng.choice(idx): coeff() for _ in range(3)}
+
+    def rand_tensor():
+        return {(rng.choice(idx), rng.choice(idx)): coeff() for _ in range(3)}
+
+    for _ in range(10):
+        x, y = rand_tensor(), rand_tensor()
+        assert env.tensor_mul(x, y) == tensor_mul_fold(env, x, y)
+        u, v = rand_element(), rand_element()
+        assert env.coproduct(env.mul(u, v)) == env.tensor_mul(
+            env.coproduct(u), env.coproduct(v))
 
 
 def test_antipode_on_generators_and_squares(sl2):
@@ -155,8 +182,8 @@ def test_antipode_axiom_exhaustive(small_algebras):
             want = ev.unit(3) if sum(I) == 0 else {}
             acc, acc2 = {}, {}
             for (J, K), c in env.coproduct({I: ONE}).items():
-                ev.iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
-                ev.iadd(acc2, env.mul({J: ONE}, env.antipode_basis(K)), c)
+                linalg.vec_iadd(acc, env.mul(env.antipode_basis(J), {K: ONE}), c)
+                linalg.vec_iadd(acc2, env.mul({J: ONE}, env.antipode_basis(K)), c)
             assert acc == want
             assert acc2 == want
 
@@ -295,7 +322,7 @@ def test_euler_coefficient(algebras):
         env = get_env(data)
         acc = {}
         for i in range(1, data.dim):
-            ev.iadd(
+            linalg.vec_iadd(
                 acc,
                 env.mul(gen(data.dim, i), ev.from_vector(data.dual_vector(i))),
                 Fraction(2),

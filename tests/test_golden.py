@@ -28,6 +28,9 @@ CASES = {
     "singular_heis3_pi1_c1": [
         "singular", "--algebra", "heisenberg:3", "--u", "pi:1", "--c", "1",
     ],
+    "singular_heis3_pi3_c3": [
+        "singular", "--algebra", "heisenberg:3", "--u", "pi:3", "--c", "3",
+    ],
     "classify_heis2": ["classify", "--algebra", "heisenberg:2"],
     "classify_heis1_audit4": [
         "classify", "--algebra", "heisenberg:1", "--audit-cutoff", "4",

@@ -363,6 +363,41 @@ def test_grading_eigenvalues(heis1):
                 assert iv.get(k, ZERO) == (Fraction(c) + deg) * x
 
 
+def _iprime_by_pairings(spec, v):
+    """rho_sing(I') v as 1 + #omega Fourier pairings, one per term of the
+    functional 2 x^0 + sum_{i<j} omega_ij x^i x^j."""
+    data = spec.data
+    dim = data.dim
+    acc = {}
+    for key, c in pa.fourier_act(spec, ev.dual_covector(dim, 0, 4), v).items():
+        la.vec_put(acc, key, 2 * c)
+    for i in range(1, dim):
+        for j in range(i + 1, dim):
+            w = data.omega[i][j]
+            if not w:
+                continue
+            xij = ev.dual_monomial(
+                dim, ev.add_index(ev.eps(dim, i), ev.eps(dim, j)), 4)
+            for key, c in pa.fourier_act(spec, xij, v).items():
+                la.vec_put(acc, key, w * c)
+    return {k: -c for k, c in acc.items()}
+
+
+@pytest.mark.parametrize("name", ["heis1", "heis2"])
+def test_rho_sing_iprime_is_one_pairing(name, request):
+    # at every reducible point of the rule, on every singular vector
+    data = request.getfixturevalue(name)
+    nn = data.N
+    points = [("trivial", 0)] + [(str(p), c) for p in range(1, nn + 1)
+                                 for c in sorted({p, 2 * nn + 2 - p})]
+    for kind, c in points:
+        spec = make_spec(data, kind, c)
+        basis, _ = pa.singular_space(spec)
+        assert len(basis) > spec.dim_r, (kind, c)
+        for v in basis:
+            assert pa.rho_sing_iprime(spec, v) == _iprime_by_pairings(spec, v)
+
+
 def rho_sing_f(spec, i, j, v):
     """rho_sing(f^{ij}) v = (x^i x^j (x)_H e) v / 2."""
     dim = spec.data.dim

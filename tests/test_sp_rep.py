@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from contactk import contact_lie as cl
+from contactk import exterior as ex
 from contactk import linalg as la
+from contactk import pseudoalgebra as pa
+from contactk import pseudoforms as pfm
 from contactk import sp_rep as sp
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -302,3 +306,36 @@ def test_cryptic_check_matches_permutation_sum(heis2, heis2_rebased):
                 assert sp.cryptic_relation_check(rep, *quad) == want
                 seen_failure |= not want
         assert seen_failure
+
+
+def _per_column_fmats(data, basis, solve):
+    """The f^{ij} acting on the span of the constant forms `basis`, one
+    solve per basis column, as the fundamental modules and the complex
+    members each computed it before they shared `form_rep`."""
+    gens = sp.sp_gens_for(data)
+    n = len(basis)
+    fmats = []
+    for key, f in sorted(gens.f_raised.items()):
+        full = sp.embed_bar(data, f)
+        cols = [solve(ex.gl_act(data, full, b)) for b in basis]
+        fmats.append((key, tuple(tuple(cols[c].get(r, ZERO) for c in range(n))
+                                 for r in range(n))))
+    return tuple(fmats)
+
+
+@pytest.mark.parametrize("name", ["heis2", "heis2_rebased"])
+def test_form_rep_matches_per_column_solve(name, request):
+    data = request.getfixturevalue(name)
+    gens = sp.sp_gens_for(data)
+    for n in range(1, data.N + 1):
+        basis = ex.compute_Kbar(data, 2 * data.N - n)
+        sys = la.LinearSystem()
+        for k, f in enumerate(basis):
+            sys.add_column(k, f.as_dict())
+        want = _per_column_fmats(data, basis,
+                                 lambda f: sys.solve(f.as_dict()))
+        assert sp.fundamental_rep(data, gens, n).fmats == want, n
+    for mem in pfm.contact_complex_members(data):
+        want = _per_column_fmats(data, mem.basis, mem.form_coords)
+        got = pa.member_tensor_spec(data, mem).sprep
+        assert (got.dim, got.fmats) == (mem.dim, want), mem.degree
