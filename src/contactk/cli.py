@@ -422,33 +422,25 @@ def suite_enveloping(suite, data, rng):
                      "both actions on dual covectors have the stated linear "
                      "parts") as pr:
         for i in range(dim):
+            vec = data.basis_vector(i)
             for j in range(dim):
-                res = env_mod.d_left(env, data.basis_vector(i),
-                                     env_mod.dual_covector(dim, j, t))
-                want = {}
-                if i == j:
-                    want[env_mod.unit_index(dim)] = -ONE
-                for k in range(i):
-                    c = data.c[i][k][j]
-                    if c:
-                        key = tuple(env_mod.eps(dim, k))
-                        want[key] = want.get(key, ZERO) - c
-                got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
-                pr.eq(got, {k: v for k, v in want.items() if v},
-                      action="left", pair=(i, j))
-                res = env_mod.d_right(env, env_mod.dual_covector(dim, j, t),
-                                      data.basis_vector(i))
-                want = {}
-                if i == j:
-                    want[env_mod.unit_index(dim)] = -ONE
-                for k in range(i + 1, dim):
-                    c = data.c[i][k][j]
-                    if c:
-                        key = tuple(env_mod.eps(dim, k))
-                        want[key] = want.get(key, ZERO) + c
-                got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
-                pr.eq(got, {k: v for k, v in want.items() if v},
-                      action="right", pair=(i, j))
+                x = env_mod.dual_covector(dim, j, t)
+                # (side, action, the k of its linear part, their sign)
+                for side, res, ks, sign in (
+                        ("left", env_mod.d_left(env, vec, x), range(i), -ONE),
+                        ("right", env_mod.d_right(env, x, vec),
+                         range(i + 1, dim), ONE)):
+                    want = {}
+                    if i == j:
+                        want[env_mod.unit_index(dim)] = -ONE
+                    for k in ks:
+                        c = data.c[i][k][j]
+                        if c:
+                            key = tuple(env_mod.eps(dim, k))
+                            want[key] = want.get(key, ZERO) + sign * c
+                    got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
+                    pr.eq(got, {k: v for k, v in want.items() if v},
+                          action=side, pair=(i, j))
     with suite.probe("enveloping.coadjoint_difference",
                      "the two dual actions differ exactly by the coadjoint "
                      "action") as pr:

@@ -59,18 +59,7 @@ class ContactLieData:
         return self.derived("bracket_basis", _bracket_rows)[i][j]
 
     def bracket_vec(self, u, v):
-        out = [ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                row = self.c[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += a * b * row[k]
-        return tuple(out)
+        return tuple(_bracket(self.c, u, v, self.dim))
 
     def theta_of(self, v):
         return sum(t * x for t, x in zip(self.theta, v))

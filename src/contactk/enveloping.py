@@ -11,8 +11,8 @@ get-or-compute semantics, so concurrent readers at worst recompute an
 entry: the straightening of a generator times a basis element
 (`_gen_mul`), products of basis elements (`_mono_mul`), antipodes of basis
 elements (`_antipode`), and the normal-form image of a unit term
-(e^(F) (x) e^(G)) (x)_H e^(J) (`_image`), which `left_image` and
-`right_image` share.
+(e^(F) (x) e^(G)) (x)_H e^(J) (`_image`), which `left_image` keeps and
+the right normal form reads with the two legs swapped.
 
 Two gradings matter: the plain degree |I| = sum(I) and the contact degree
 |I|' = 2 i_0 + i_1 + ... + i_{2N}, where the distinguished direction s
@@ -159,19 +159,22 @@ class Enveloping:
         hit = self._mono_mul.get((I, J))
         if hit is not None:
             return hit
-        acc = {J: ONE}
-        denom = ONE
-        for g in range(self.dim - 1, -1, -1):
+        out = self._powers_times(I, range(self.dim - 1, -1, -1), {J: ONE})
+        self._mono_mul[(I, J)] = out
+        return out
+
+    def _powers_times(self, I, order, acc, scale=ONE):
+        """scale times acc multiplied on the left by e_g^{I[g]} / I[g]!,
+        one g at a time in the given order."""
+        for g in order:
             for _ in range(I[g]):
                 nxt = {}
                 for M, c in acc.items():
                     vec_iadd(nxt, self.gen_mul(g, M), c)
                 acc = nxt
             if I[g]:
-                denom *= Fraction(1, math.factorial(I[g]))
-        out = vec_scale(acc, denom)
-        self._mono_mul[(I, J)] = out
-        return out
+                scale *= Fraction(1, math.factorial(I[g]))
+        return vec_scale(acc, scale)
 
     def mul(self, u, v):
         out = {}
@@ -225,25 +228,9 @@ class Enveloping:
         if hit is not None:
             return hit
         # S(e^(I)) = (-1)^{|I|} reversed product / I!
-        acc = unit(self.dim)
-        denom = ONE
-        for g in range(self.dim):
-            for _ in range(I[g]):
-                nxt = {}
-                for M, c in acc.items():
-                    vec_iadd(nxt, self.gen_mul(g, M), c)
-                acc = nxt
-            if I[g]:
-                denom *= Fraction(1, math.factorial(I[g]))
         sign = -ONE if plain_degree(I) % 2 else ONE
-        out = vec_scale(acc, sign * denom)
+        out = self._powers_times(I, range(self.dim), unit(self.dim), sign)
         self._antipode[I] = out
-        return out
-
-    def antipode(self, u):
-        out = {}
-        for I, c in u.items():
-            vec_iadd(out, self.antipode_basis(I), c)
         return out
 
     # -- normal forms of (H (x) H) (x)_H V ---------------------------------
@@ -268,13 +255,6 @@ class Enveloping:
         out = tuple((k, c) for k, c in acc.items() if c)
         self._image[key] = out
         return out
-
-    def right_image(self, F, G, J):
-        """(e^(F) (x) e^(G)) (x)_H e^(J) in right-normal form: the sum over
-        D(e^(F)) of (1 (x) e^(G) S(e^(F1))) (x)_H e^(F2) e^(J), as a tuple
-        of ((G', J'), coefficient) pairs.  This is the left image with the
-        two legs swapped, so both read one memo."""
-        return self.left_image(G, F, J)
 
     # -- dual --------------------------------------------------------------
 
@@ -379,40 +359,31 @@ def _action_drop(vec):
     return 2 if vec[0] else 1
 
 
-def d_left(env, vec, x):
-    """Left action of the degree-1 element vec: <pv x, f> = -<x, pv f>."""
-    drop = _action_drop(vec)
-    t = x.truncation - drop
+def _dual_act(env, x, vec, side):
+    """<x pv, f> = -<x, f pv> on the right, <pv x, f> = -<x, pv f> on the
+    left, for the degree-1 element pv of vec."""
+    t = x.truncation - _action_drop(vec)
     if t < 0:
-        raise TruncationOverflow("left action exceeds the truncation")
+        raise TruncationOverflow(f"{side} action exceeds the truncation")
     p = from_vector(vec)
     out = {}
     for J in contact_indices(env.dim, t):
-        prod = env.mul(p, {J: ONE})
-        c = -sum(
-            (x.coeffs[K] * prod[K] for K in x.coeffs.keys() & prod.keys()), ZERO
-        )
+        unit_j = {J: ONE}
+        prod = env.mul(p, unit_j) if side == "left" else env.mul(unit_j, p)
+        c = -env.dual_pair(x, prod)
         if c:
             out[J] = c
     return DualElement(env.dim, t, out)
+
+
+def d_left(env, vec, x):
+    """Left action of the degree-1 element vec: <pv x, f> = -<x, pv f>."""
+    return _dual_act(env, x, vec, "left")
 
 
 def d_right(env, x, vec):
     """Right action: <x pv, f> = -<x, f pv>."""
-    drop = _action_drop(vec)
-    t = x.truncation - drop
-    if t < 0:
-        raise TruncationOverflow("right action exceeds the truncation")
-    p = from_vector(vec)
-    out = {}
-    for J in contact_indices(env.dim, t):
-        prod = env.mul({J: ONE}, p)
-        c = -sum(
-            (x.coeffs[K] * prod[K] for K in x.coeffs.keys() & prod.keys()), ZERO
-        )
-        if c:
-            out[J] = c
-    return DualElement(env.dim, t, out)
+    return _dual_act(env, x, vec, "right")
 
 
 # ---------------------------------------------------------------------------

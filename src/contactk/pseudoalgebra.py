@@ -9,7 +9,8 @@ shifted as `member_tensor_spec` states.
 Action values live in (H (x) H) (x)_H V and are handled in one of two
 normal forms (coefficients on the left or on the right slot).  Both read
 the Hopf structure only through the memoized image of a unit term,
-`Enveloping.left_image` and `Enveloping.right_image`.  A vector is
+`Enveloping.left_image`; the right normal form is the left one with the
+two legs swapped.  A vector is
 singular when the left-normal coefficients of e * v vanish beyond contact
 degree two; singular spaces are computed as exact kernels of that
 condition over a bounded window, and the reducibility verdict compares
@@ -171,30 +172,22 @@ class TensorModuleSpec:
         hit = cache.get(r)
         if hit is not None:
             return hit
-        data, env = self.data, self.env
+        data = self.data
         dim = data.dim
         car = self.carrier()
         zero_i = env_mod.unit_index(dim)
         unit_u = ((r, ONE),)
-
+        epsk = [tuple(env_mod.eps(dim, k)) for k in range(dim)]
         raw = {}
 
         def put(F, G, J, col, scl=ONE):
             for rr, x in col:
-                key = (F, G, (J, rr))
-                w = raw.get(key, ZERO) + scl * x
-                if w:
-                    raw[key] = w
-                else:
-                    raw.pop(key, None)
-
-        eps0 = tuple(env_mod.eps(dim, 0))
-        epsk = [tuple(env_mod.eps(dim, k)) for k in range(dim)]
+                vec_put(raw, (F, G, (J, rr)), scl * x)
 
         # the carrier acts plainly (the trace shift of the module is
         # already absorbed into the shape of the formula)
         put(zero_i, zero_i, zero_i, car.first[r])
-        put(zero_i, zero_i, eps0, unit_u, -ONE)
+        put(zero_i, zero_i, epsk[0], unit_u, -ONE)
         for k in range(1, dim):
             put(epsk[k], zero_i, zero_i, car.dual[k][r], -ONE)
             dual = data.dual_vector(k)
@@ -202,15 +195,11 @@ class TensorModuleSpec:
                 if dual[m]:
                     put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
 
-        # the quadratic symplectic terms; the central term is added by
-        # e_star_raw, so that these terms serve every c
-        for i in range(1, dim):
-            for j in range(1, dim):
-                cols = car.f.get((i, j))
-                if cols is None or not cols[r]:
-                    continue
-                for F, cf in env.mono_mul(epsk[i], epsk[j]).items():
-                    put(F, zero_i, zero_i, cols[r], cf)
+        # the quadratic symplectic terms psi(u_r); the central term is
+        # added by e_star_raw, so that these terms serve every c
+        unit_r = tuple(ONE if rr == r else ZERO for rr in range(self.dim_r))
+        for (F, rr), x in psi_map(self, unit_r).items():
+            vec_put(raw, (F, zero_i, (zero_i, rr)), x)
 
         cache[r] = raw
         return raw
@@ -268,12 +257,10 @@ def to_left_normal(env, raw):
 
 
 def to_right_normal(env, raw):
-    """(f (x) g) (x)_H v = sum (1 (x) g S(f_(1))) (x)_H f_(2) v."""
-    out = {}
-    for (F, G, (J, r)), c in raw.items():
-        for (Gk, Jk), x in env.right_image(F, G, J):
-            vec_put(out.setdefault(Gk, {}), (Jk, r), c * x)
-    return {G: t for G, t in out.items() if t}
+    """(f (x) g) (x)_H v = sum (1 (x) g S(f_(1))) (x)_H f_(2) v: the left
+    normal form of the terms with their two legs swapped."""
+    return to_left_normal(
+        env, {(G, F, v): c for (F, G, v), c in raw.items()})
 
 
 def is_singular(spec, v):
@@ -698,13 +685,21 @@ def _jacobi_holds(spec, v):
 # the gl-valued part of the embedding into the derivation pseudoalgebra
 
 
-def _put_matrix(out, I, mat, scl=ONE):
-    """Add scl * mat to the gl(d) matrix stored at multi-index I."""
-    if linalg.is_zero_matrix(mat):
-        return
-    acc = out.get(I)
-    scaled = linalg.mat_scale(mat, scl)
-    out[I] = scaled if acc is None else linalg.mat_add(acc, scaled)
+def _gl_sum(dim, terms):
+    """Sum the (multi-index, coefficient, gl(d) matrix) terms per
+    multi-index with `linalg.mat_comb`; zero sums are dropped."""
+    by_index = {}
+    for I, c, mat in terms:
+        by_index.setdefault(I, []).append((c, mat))
+    sums = {I: linalg.mat_comb(dim, cms) for I, cms in by_index.items()}
+    return {I: m for I, m in sums.items() if not linalg.is_zero_matrix(m)}
+
+
+def _quadratic(env, i, j, mat, scl):
+    """The terms of scl e_i e_j (x) mat, straightened."""
+    dim = env.dim
+    prod = env.mono_mul(tuple(env_mod.eps(dim, i)), tuple(env_mod.eps(dim, j)))
+    return [(K, scl * ck, mat) for K, ck in prod.items()]
 
 
 def tau_of_e(data):
@@ -714,23 +709,17 @@ def tau_of_e(data):
     multi-index -> gl(d) matrix."""
     env = get_env(data)
     dim = data.dim
-    out = {}
-    zero = env_mod.unit_index(dim)
-    _put_matrix(out, zero, data.ad_matrix(0))
-    for j in range(dim):
-        _put_matrix(out, tuple(env_mod.eps(dim, j)),
-                    linalg.elementary(dim, 0, j))
+    terms = [(env_mod.unit_index(dim), ONE, data.ad_matrix(0))]
+    terms += [(tuple(env_mod.eps(dim, j)), ONE, linalg.elementary(dim, 0, j))
+              for j in range(dim)]
     for i in range(1, dim):
         # - e_i (x) ad d^i - sum_j e_i e_j (x) e^{ij}
-        _put_matrix(out, tuple(env_mod.eps(dim, i)), sp_rep.ad_dual(data, i),
-                    -ONE)
+        terms.append((tuple(env_mod.eps(dim, i)), -ONE,
+                      sp_rep.ad_dual(data, i)))
         for j in range(dim):
-            eij = sp_rep.e_raised_full(data, i, j)
-            prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
-                                tuple(env_mod.eps(dim, j)))
-            for K, ck in prod.items():
-                _put_matrix(out, K, eij, -ck)
-    return {I: m for I, m in out.items() if not linalg.is_zero_matrix(m)}
+            terms += _quadratic(env, i, j, sp_rep.e_raised_full(data, i, j),
+                                -ONE)
+    return _gl_sum(dim, terms)
 
 
 def adsp_full(data, k):
@@ -763,28 +752,17 @@ def tau_rhs(data):
     env = get_env(data)
     dim = data.dim
     gens = sp_rep.sp_gens_for(data)
-    out = {}
-    zero = env_mod.unit_index(dim)
-    _put_matrix(out, zero, adsp_full(data, 0))
+    terms = [(env_mod.unit_index(dim), ONE, adsp_full(data, 0))]
+    terms += [(tuple(env_mod.eps(dim, i)), -ONE, adsp_full(data, i))
+              for i in range(1, dim)]
+    terms.append((tuple(env_mod.eps(dim, 0)), Fraction(1, 2), gens.i_prime))
     for i in range(1, dim):
-        _put_matrix(out, tuple(env_mod.eps(dim, i)), adsp_full(data, i),
-                    -ONE)
-    _put_matrix(out, tuple(env_mod.eps(dim, 0)), gens.i_prime,
-                Fraction(1, 2))
-    for i in range(1, dim):
-        ei0 = sp_rep.e_raised_full(data, i, 0)
-        prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
-                            tuple(env_mod.eps(dim, 0)))
-        for K, ck in prod.items():
-            _put_matrix(out, K, ei0, -ck)
+        terms += _quadratic(env, i, 0, sp_rep.e_raised_full(data, i, 0), -ONE)
     for i in range(1, dim):
         for j in range(1, dim):
-            fij = sp_rep.embed_bar(data, gens.f(i, j))
-            prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
-                                tuple(env_mod.eps(dim, j)))
-            for K, ck in prod.items():
-                _put_matrix(out, K, fij, ck)
-    return {I: m for I, m in out.items() if not linalg.is_zero_matrix(m)}
+            terms += _quadratic(env, i, j,
+                                sp_rep.embed_bar(data, gens.f(i, j)), ONE)
+    return _gl_sum(dim, terms)
 
 
 def in_cz_csp(data, mat):

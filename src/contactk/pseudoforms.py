@@ -84,15 +84,14 @@ def h_mul_pf(env, h, a):
     return pform(a.degree, out)
 
 
-def pseudo_d(env, a):
-    """The pseudo de Rham differential."""
-    data = env.data
+def _d0_terms(data, a):
+    """The terms of the constant differential d0 applied coefficient by
+    coefficient, gathered over output monomials: a dict (I, T) -> c."""
     n = a.degree
     by_s = {}
     for (I, S), c in a.items():
         by_s.setdefault(S, {})[I] = c
     out = {}
-    # bracket terms, gathered over output monomials
     for T in monomials(data.dim, n + 1):
         for p in range(n + 1):
             for q in range(p + 1, n + 1):
@@ -108,32 +107,30 @@ def pseudo_d(env, a):
                         continue
                     for I, c in hd.items():
                         vec_put(out, (I, T), sgn_pq * cv * s * c)
+    return out
 
-    # right-multiplication terms, scattered from the input
-    for S, hd in by_s.items():
+
+def pseudo_d(env, a):
+    """The pseudo de Rham differential: d0 on each coefficient plus the
+    right multiplications of the coefficients by basis vectors."""
+    data = env.data
+    out = _d0_terms(data, a)
+    for (I, S), c in a.items():
         for m in range(data.dim):
             ins = insert_index(m, S)
             if ins is None:
                 continue
             ins_sign, T = ins
             sign = -ins_sign  # (-1)^position, 1-based
-            gen = env_mod.generator(data.dim, m)
-            for I, c in hd.items():
-                prod = env.mul({I: ONE}, gen)
-                for K, ck in prod.items():
-                    vec_put(out, (K, T), sign * c * ck)
-    return pform(n + 1, out)
+            prod = env.mul({I: ONE}, env_mod.generator(data.dim, m))
+            for K, ck in prod.items():
+                vec_put(out, (K, T), sign * c * ck)
+    return pform(a.degree + 1, out)
 
 
 def d0_h(env, a):
     """H-linear extension of the constant differential."""
-    data = env.data
-    out = {}
-    for I in pf_h_support(a):
-        comp = exterior.d0(data, pf_component(a, I))
-        for S, c in comp.items():
-            vec_put(out, (I, S), c)
-    return pform(a.degree + 1, out)
+    return pform(a.degree + 1, _d0_terms(env.data, a))
 
 
 def eps_pseudoform(dim):
@@ -619,20 +616,6 @@ def e_star_direct(env, pf):
     """Action of the contact generator e = 1 (x) e_0 - sum_i e_i (x) d^i
     on a pseudoform, via the embedding into the derivation pseudoalgebra."""
     data = env.data
-    if pf.degree == 0:
-        # w * g = -f (x) g a
-        out = {}
-        for (I, _S), c in pf.items():
-            prod = env.mul({I: ONE}, env_mod.generator(data.dim, 0))
-            for K, ck in prod.items():
-                vec_put(out, ((0,) * data.dim, K, ()), -c * ck)
-        for i in range(1, data.dim):
-            gen_i = env_mod.eps(data.dim, i)
-            di = env_mod.from_vector(data.dual_vector(i))
-            for (I, _S), c in pf.items():
-                for K, ck in env.mul({I: ONE}, di).items():
-                    vec_put(out, (tuple(gen_i), K, ()), c * ck)
-        return out
     out = w_star_direct(env, env_mod.unit(data.dim), data.basis_vector(0), pf)
     for i in range(1, data.dim):
         gi = env_mod.generator(data.dim, i)

@@ -18,6 +18,14 @@ def gen(dim, i):
     return ev.generator(dim, i)
 
 
+def antipode(env, u):
+    """S(u), extended linearly from `Enveloping.antipode_basis`."""
+    out = {}
+    for I, c in u.items():
+        linalg.vec_iadd(out, env.antipode_basis(I), c)
+    return out
+
+
 def test_divided_square(heis1):
     env = get_env(heis1)
     assert env.mul(gen(3, 1), gen(3, 1)) == {(0, 2, 0): Fraction(2)}
@@ -171,8 +179,8 @@ def test_tensor_mul_matches_fold(name, request):
 
 def test_antipode_on_generators_and_squares(sl2):
     env = get_env(sl2)
-    assert env.antipode(gen(3, 1)) == {(0, 1, 0): -ONE}
-    assert env.antipode({(0, 2, 0): ONE}) == {(0, 2, 0): ONE}
+    assert antipode(env, gen(3, 1)) == {(0, 1, 0): -ONE}
+    assert antipode(env, {(0, 2, 0): ONE}) == {(0, 2, 0): ONE}
 
 
 def test_antipode_axiom_exhaustive(small_algebras):

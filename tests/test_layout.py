@@ -2,8 +2,10 @@
 
 Every module-level function and class of the package must be referenced
 by name (an `ast.Name` or an `ast.Attribute`) somewhere in the package,
-be exported by `__init__`, or be the console entry point `cli.main`.  A
-helper whose only callers are tests belongs in those tests.  Docstrings
+be exported by `__init__`, or be the console entry point `cli.main`, and
+every method of a package class other than a dunder must be referenced
+by name in the package.  A helper whose only callers are tests belongs in
+those tests.  Docstrings
 and comments are not code, so a name mentioned only there is unused.
 """
 
@@ -58,4 +60,24 @@ def test_every_definition_has_a_library_use():
                     or (module, name) in ENTRY_POINTS):
                 continue
             unused.append(f"{module}.{name}")
+    assert unused == []
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_method_has_a_library_use():
+    trees = _trees()
+    used = _used_names(trees)
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(node.name)
+                        and node.name not in used):
+                    unused.append(f"{module}.{cls.name}.{node.name}")
     assert unused == []

@@ -165,6 +165,49 @@ def test_sparse_carrier_matches_dense_formula(sl2, heis1, heis2):
     assert len(seen) == 3 * 2 + 3 * 3 + 4 * 3
 
 
+def _e_star_generator_reference(spec, r):
+    """e * (1 (x) u_r) without the central term, with its quadratic part
+    built by its own i, j loop over straightened e_i e_j rather than read
+    from `psi_map`."""
+    data, env = spec.data, spec.env
+    dim = data.dim
+    car = spec.carrier()
+    zero_i = ev.unit_index(dim)
+    unit_u = ((r, ONE),)
+    epsk = [ev.eps(dim, k) for k in range(dim)]
+    raw = {}
+
+    def put(F, G, J, col, scl=ONE):
+        for rr, x in col:
+            la.vec_put(raw, (F, G, (J, rr)), scl * x)
+
+    put(zero_i, zero_i, zero_i, car.first[r])
+    put(zero_i, zero_i, epsk[0], unit_u, -ONE)
+    for k in range(1, dim):
+        put(epsk[k], zero_i, zero_i, car.dual[k][r], -ONE)
+        dual = data.dual_vector(k)
+        for m in range(1, dim):
+            if dual[m]:
+                put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
+    for i in range(1, dim):
+        for j in range(1, dim):
+            cols = car.f.get((i, j))
+            if cols is None or not cols[r]:
+                continue
+            for F, cf in env.mono_mul(epsk[i], epsk[j]).items():
+                put(F, zero_i, zero_i, cols[r], cf)
+    return raw
+
+
+def test_e_star_generator_matches_reference_loop(heis2, heis2_rebased):
+    for data in (heis2, heis2_rebased):
+        for u in ("trivial", "1", "2", "sym2"):
+            spec = make_spec(data, u, 0)
+            for r in range(spec.dim_r):
+                assert spec._e_star_generator(r) == \
+                    _e_star_generator_reference(spec, r), (u, r)
+
+
 def test_left_normal_example(heis1):
     env = get_env(heis1)
     raw = {(ZI, (0, 1, 0), (ZI, 0)): ONE}
@@ -240,8 +283,9 @@ def test_normal_form_images_match_reference(sl2, heis1, heis2):
         for _ in range(25):
             key = (rng.choice(idx), rng.choice(idx), rng.choice(idx))
             raw = {(key[0], key[1], (key[2], 0)): ONE}
+            right_image = lambda F, G, J: env.left_image(G, F, J)
             for left, image in ((True, env.left_image),
-                                (False, env.right_image)):
+                                (False, right_image)):
                 got = image(*key)
                 assert image(*key) is got
                 want = _reference_normal(env, raw, left)
@@ -626,6 +670,61 @@ def test_tau_identity(algebras, nonuni):
         assert any(
             m[k][0] != 0 for m in rhs.values() for k in range(1, data.dim)
         )
+
+
+def _put_matrix(out, I, mat, scl=ONE):
+    """Add scl * mat to the gl(d) matrix stored at multi-index I."""
+    if la.is_zero_matrix(mat):
+        return
+    acc = out.get(I)
+    scaled = la.mat_scale(mat, scl)
+    out[I] = scaled if acc is None else la.mat_add(acc, scaled)
+
+
+def _put_quadratic(out, env, i, j, mat, scl):
+    dim = env.dim
+    for K, ck in env.mono_mul(ev.eps(dim, i), ev.eps(dim, j)).items():
+        _put_matrix(out, K, mat, scl * ck)
+
+
+def _tau_of_e_reference(data):
+    env = get_env(data)
+    dim = data.dim
+    out = {}
+    _put_matrix(out, ev.unit_index(dim), data.ad_matrix(0))
+    for j in range(dim):
+        _put_matrix(out, ev.eps(dim, j), la.elementary(dim, 0, j))
+    for i in range(1, dim):
+        _put_matrix(out, ev.eps(dim, i), sp.ad_dual(data, i), -ONE)
+        for j in range(dim):
+            _put_quadratic(out, env, i, j, sp.e_raised_full(data, i, j), -ONE)
+    return {I: m for I, m in out.items() if not la.is_zero_matrix(m)}
+
+
+def _tau_rhs_reference(data):
+    env = get_env(data)
+    dim = data.dim
+    gens = sp.sp_gens_for(data)
+    out = {}
+    _put_matrix(out, ev.unit_index(dim), pa.adsp_full(data, 0))
+    for i in range(1, dim):
+        _put_matrix(out, ev.eps(dim, i), pa.adsp_full(data, i), -ONE)
+    _put_matrix(out, ev.eps(dim, 0), gens.i_prime, Fraction(1, 2))
+    for i in range(1, dim):
+        _put_quadratic(out, env, i, 0, sp.e_raised_full(data, i, 0), -ONE)
+    for i in range(1, dim):
+        for j in range(1, dim):
+            _put_quadratic(out, env, i, j,
+                           sp.embed_bar(data, gens.f(i, j)), ONE)
+    return {I: m for I, m in out.items() if not la.is_zero_matrix(m)}
+
+
+def test_tau_sums_match_matrix_accumulation(algebras, nonuni, heis2_rebased):
+    # tau_check compares tau_of_e with tau_rhs, which share their
+    # summation; here each is summed matrix by matrix on its own
+    for data in list(algebras.values()) + [nonuni, heis2_rebased]:
+        assert pa.tau_of_e(data) == _tau_of_e_reference(data)
+        assert pa.tau_rhs(data) == _tau_rhs_reference(data)
 
 
 def test_convention_bridge(heis1, pi2_heis1, nonuni, heis2):

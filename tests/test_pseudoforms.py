@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from contactk import enveloping as ev
 from contactk import exterior as ex
+from contactk import linalg as la
 from contactk import pseudoforms as pfm
 from contactk.enveloping import get_env
 
@@ -67,6 +68,60 @@ def test_eps_relation(small_algebras):
                     lhs = pfm.pseudo_d(env, a) - pfm.d0_h(env, a)
                     sign = -ONE if n % 2 == 0 else ONE
                     assert lhs == sign * pfm.wedge_pseudo(env, a, epsf)
+
+
+def _d0_h_reference(env, a):
+    """d0 applied coefficient by coefficient with `exterior.d0`."""
+    out = {}
+    for I in pfm.pf_h_support(a):
+        for S, c in ex.d0(env.data, pfm.pf_component(a, I)).items():
+            out[(I, S)] = c
+    return pfm.pform(a.degree + 1, out)
+
+
+def test_d0_h_matches_coefficientwise_d0(algebras):
+    # pseudo_d and d0_h share their bracket terms, so the eps relation
+    # above cannot see a fault in them; exterior.d0 is an independent
+    # copy of the formula
+    rng = random.Random(29)
+    for data in algebras.values():
+        env = get_env(data)
+        for n in range(data.dim + 1):
+            for _ in range(6):
+                a = rand_pf(rng, data.dim, n, terms=4)
+                assert pfm.d0_h(env, a) == _d0_h_reference(env, a), (
+                    data.dim, a)
+
+
+def _e_star_direct_degree0_reference(env, pf):
+    """e * g for a degree-0 pseudoform g in closed form: w * g = -f (x) g a
+    for each summand w = f (x) a of e = 1 (x) e_0 - sum_i e_i (x) d^i."""
+    data = env.data
+    out = {}
+    for (I, _S), c in pf.items():
+        prod = env.mul({I: ONE}, ev.generator(data.dim, 0))
+        for K, ck in prod.items():
+            la.vec_put(out, ((0,) * data.dim, K, ()), -c * ck)
+    for i in range(1, data.dim):
+        gen_i = ev.eps(data.dim, i)
+        di = ev.from_vector(data.dual_vector(i))
+        for (I, _S), c in pf.items():
+            for K, ck in env.mul({I: ONE}, di).items():
+                la.vec_put(out, (tuple(gen_i), K, ()), c * ck)
+    return out
+
+
+def test_e_star_direct_degree0_matches_closed_form(algebras, heis2_rebased):
+    # the member actions only feed 1 (x) 1 in degree 0; these coefficients
+    # are not constant, so the order of g and a matters
+    rng = random.Random(31)
+    for data in list(algebras.values()) + [heis2_rebased]:
+        env = get_env(data)
+        for _ in range(6):
+            a = rand_pf(rng, data.dim, 0, max_plain=3, terms=3)
+            assert any(sum(I) for (I, _S), _c in a.items())
+            assert pfm.e_star_direct(env, a) == \
+                _e_star_direct_degree0_reference(env, a), (data.dim, a)
 
 
 def test_d_theta(small_algebras):
