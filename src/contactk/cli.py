@@ -914,14 +914,10 @@ def run_classify(suite, data, c_min, c_max, twist, audit_cutoff=None):
     One base spec per U serves every c through `TensorModuleSpec.at`, so
     the c-free parts of the module are built once per U.
 
-    The Jacobi identity is checked at the first three c of the window and
-    then holds for every c: the action e * v depends on c only through
-    the central term, so it is affine in c; e * (e * v) is then quadratic
-    in c and the bracket side of `jacobi_check` affine, so the Jacobi
-    defect is a polynomial in c of degree at most two with values in a
-    fixed finite space, and it vanishes identically when it vanishes at
-    three distinct c.  With fewer than three c, or a failure among the
-    three, every c is checked on its own, so a failure names its c."""
+    The Jacobi defect is found once per U as a polynomial in c
+    (`jacobi_check`): the action depends on c only through the central
+    term, so the defect is d0 + c d1 + c^2 d2, and each c of the window
+    is recorded as passing iff every such polynomial vanishes there."""
     gens = sp_rep.sp_gens_for(data)
     names = ["trivial"] + [f"pi:{n}" for n in range(1, data.N + 1)] + ["sym2"]
     suite.record(
@@ -942,9 +938,7 @@ def run_classify(suite, data, c_min, c_max, twist, audit_cutoff=None):
     for name in names:
         rep, (kind, p) = builtin_u(data, gens, name)
         base = palg.TensorModuleSpec(data, twist, rep, c_min)
-        jacobi = {c: palg.jacobi_check(base.at(c)) for c in window[:3]}
-        if len(jacobi) == 3 and all(jacobi.values()):
-            jacobi = dict.fromkeys(window, True)
+        defect = palg.jacobi_check(base)
         for c in window:
             spec = base.at(c)
             basis, used = palg.singular_space(spec, audit_cutoff)
@@ -973,19 +967,21 @@ def run_classify(suite, data, c_min, c_max, twist, audit_cutoff=None):
             suite.record(
                 f"classify.{name}.c={c}.jacobi",
                 "the Jacobi identity holds for the generator acting twice",
-                jacobi[c] if c in jacobi else palg.jacobi_check(spec),
+                not any(d0 + c * (d1 + c * d2) for d0, d1, d2 in defect),
                 {"u": name, "c": c},
             )
             if verdict.reducible:
+                # where the rule says irreducible it predicts no
+                # dimension (None), and the record fails
                 per_unit = palg.expected_nonconstant_dim(kind, p, c, data.N)
-                want_dim = spec.dim_pi * per_unit
+                want_dim = None if per_unit is None else spec.dim_pi * per_unit
+                nonconstant = verdict.singular_dim - spec.dim_r
                 suite.record(
                     f"classify.{name}.c={c}.dimension",
                     "the nonconstant singular space has the dimension of "
                     "the adjacent complex member's constants",
-                    verdict.singular_dim - spec.dim_r == want_dim,
-                    {"nonconstant": verdict.singular_dim - spec.dim_r,
-                     "predicted": want_dim},
+                    nonconstant == want_dim,
+                    {"nonconstant": nonconstant, "predicted": want_dim},
                 )
                 # the coefficient checks read the default-cutoff basis
                 if used != palg.default_cutoff(spec):

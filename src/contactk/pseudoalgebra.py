@@ -641,44 +641,44 @@ def skewness_check(data):
 
 
 def jacobi_check(spec):
-    """The Jacobi identity for the generator acting twice, on each
-    degree-0 generator 1 (x) u_r of the module."""
-    zero = env_mod.unit_index(spec.data.dim)
-    return all(_jacobi_holds(spec, {(zero, r): ONE})
-               for r in range(spec.dim_r))
+    """The Jacobi defect of the generator acting twice on each degree-0
+    generator 1 (x) u_r of the module, as a polynomial in c.
 
+    e * w = A w + c B w, with A the c-free terms (`_e_star_free`) and B
+    the central term at c = 1, so each coefficient of the defect, all
+    three terms in left-normal position, is d0 + c d1 + c^2 d2.  Returns
+    the triples (d0, d1, d2) that are not all zero, gathered one u_r at a
+    time: the identity holds at c iff every triple vanishes at c."""
+    env, dim = spec.env, spec.data.dim
+    g = bracket_element(spec.data)
 
-def _jacobi_holds(spec, v):
-    """The Jacobi identity on one module element, all three terms
-    computed in left-normal position."""
-    env = spec.env
-    data = spec.data
-    left1 = to_left_normal(env, e_star_raw(spec, v))
+    def act(w):
+        return (to_left_normal(env, _e_star_free(spec, w)),
+                to_left_normal(env, _put_central({}, dim, w, ONE / 2)))
 
-    # e * (e * v) at (f' (x) f (x) 1), minus the same with the legs swapped
-    rhs = {}
-    for F, w in left1.items():
-        inner = to_left_normal(env, e_star_raw(spec, w))
-        for F2, t in inner.items():
-            acc = rhs.setdefault((F2, F), {})
-            for vk, c in t.items():
-                vec_put(acc, vk, c)
-            acc = rhs.setdefault((F, F2), {})
-            for vk, c in t.items():
-                vec_put(acc, vk, -c)
+    triples, defect = [], {}
 
-    # g . D(e^(F)) in H (x) H, tensored with w_F
-    lhs = {}
-    g = bracket_element(data)
-    for F, w in left1.items():
-        for key, cg in env.tensor_mul(g, env.coproduct({F: ONE})).items():
-            acc = lhs.setdefault(key, {})
-            for vk, c in w.items():
-                vec_put(acc, vk, cg * c)
+    def put(key, vk, power, x):
+        defect.setdefault((key, vk), [ZERO, ZERO, ZERO])[power] += x
 
-    lhs = {k: t for k, t in lhs.items() if t}
-    rhs = {k: t for k, t in rhs.items() if t}
-    return lhs == rhs
+    for r in range(spec.dim_r):
+        for p1, left1 in enumerate(act({(env_mod.unit_index(dim), r): ONE})):
+            for F, w in left1.items():
+                # g . D(e^(F)) in H (x) H, tensored with w_F
+                for key, cg in env.tensor_mul(
+                        g, env.coproduct({F: ONE})).items():
+                    for vk, x in w.items():
+                        put(key, vk, p1, cg * x)
+                # minus e * (e * v) at (f' (x) f (x) 1), plus the legs
+                # swapped
+                for p2, inner in enumerate(act(w)):
+                    for F2, t in inner.items():
+                        for vk, x in t.items():
+                            put((F2, F), vk, p1 + p2, -x)
+                            put((F, F2), vk, p1 + p2, x)
+        triples += [tuple(d) for d in defect.values() if any(d)]
+        defect.clear()
+    return triples
 
 
 # ---------------------------------------------------------------------------

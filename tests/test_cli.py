@@ -149,6 +149,20 @@ def test_failing_check_sets_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "witness" in out
 
 
+def test_unpredicted_reducible_point_fails_its_dimension(monkeypatch, tmp_path):
+    # a rule that calls every point irreducible predicts no dimension for
+    # the reducible trivial point at c = 0: recorded as a fail, not raised
+    monkeypatch.setattr(cli.palg, "expected_verdict",
+                        lambda kind, p, c, nn: (False, ()))
+    out = tmp_path / "report.json"
+    assert run(["classify", "--algebra", "heisenberg:1", "--c-min", "0",
+                "--c-max", "0", "--format", "json", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    dim = checks["classify.trivial.c=0.dimension"]
+    assert dim["status"] == "fail"
+    assert dim["witness"] == {"nonconstant": 2, "predicted": None}
+
+
 def test_annihilation_truncation_floor_is_bad_config(monkeypatch, capsys):
     def never(*_args):  # pragma: no cover - the floor is checked first
         raise AssertionError("suite ran below the truncation floor")

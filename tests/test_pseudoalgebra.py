@@ -469,20 +469,75 @@ def test_skewness(algebras, nonuni):
 
 def _jacobi_on_members(data):
     # the members are built with a shifted twist and central scalar
-    return all(pa.jacobi_check(pa.member_tensor_spec(data, mem))
+    return all(pa.jacobi_check(pa.member_tensor_spec(data, mem)) == []
                for mem in pfm.contact_complex_members(data))
 
 
 def test_jacobi(heis1, sl2):
     for data in (heis1, sl2):
         for kind, c in (("trivial", 0), ("1", 1), ("1", -2), ("sym2", 3)):
-            assert pa.jacobi_check(make_spec(data, kind, c))
+            assert pa.jacobi_check(make_spec(data, kind, c)) == []
     assert _jacobi_on_members(heis1)
 
 
 def test_jacobi_nonunimodular(nonuni):
-    assert pa.jacobi_check(make_spec(nonuni, "1", 2))
+    assert pa.jacobi_check(make_spec(nonuni, "1", 2)) == []
     assert _jacobi_on_members(nonuni)
+
+
+def _jacobi_at(spec):
+    """The Jacobi identity at the spec's own c, on each 1 (x) u_r, all
+    three terms in left-normal position: the per-c reference for the
+    defect that `jacobi_check` finds as a polynomial in c."""
+    env = spec.env
+    zero = ev.unit_index(spec.data.dim)
+    g = pa.bracket_element(spec.data)
+    for r in range(spec.dim_r):
+        left1 = pa.to_left_normal(env, pa.e_star_raw(spec, {(zero, r): ONE}))
+        # e * (e * v) at (f' (x) f (x) 1), minus the same with the legs
+        # swapped
+        rhs = {}
+        for F, w in left1.items():
+            inner = pa.to_left_normal(env, pa.e_star_raw(spec, w))
+            for F2, t in inner.items():
+                for key, sign in (((F2, F), ONE), ((F, F2), -ONE)):
+                    acc = rhs.setdefault(key, {})
+                    for vk, c in t.items():
+                        la.vec_put(acc, vk, sign * c)
+        # g . D(e^(F)) in H (x) H, tensored with w_F
+        lhs = {}
+        for F, w in left1.items():
+            for key, cg in env.tensor_mul(
+                    g, env.coproduct({F: ONE})).items():
+                acc = lhs.setdefault(key, {})
+                for vk, c in w.items():
+                    la.vec_put(acc, vk, cg * c)
+        if ({k: t for k, t in lhs.items() if t}
+                != {k: t for k, t in rhs.items() if t}):
+            return False
+    return True
+
+
+def _vanishes_at(defect, c):
+    return not any(d0 + c * (d1 + c * d2) for d0, d1, d2 in defect)
+
+
+def _builtin_us(data):
+    return ["trivial"] + [str(n) for n in range(1, data.N + 1)] + ["sym2"]
+
+
+def _assert_defect_matches_per_c(data, window):
+    for u in _builtin_us(data):
+        defect = pa.jacobi_check(make_spec(data, u, 0))
+        assert [_vanishes_at(defect, c) for c in window] == [
+            _jacobi_at(make_spec(data, u, c)) for c in window]
+
+
+def test_jacobi_defect_matches_per_c(heis1, heis2, nonuni):
+    # the polynomial defect vanishes at c exactly where the identity
+    # checked at c holds, for every U and c of the classify window
+    for data in (heis1, heis2, nonuni):
+        _assert_defect_matches_per_c(data, range(-3, 2 * data.N + 5))
 
 
 def _classify_jacobi(data, c_min, c_max):
@@ -492,47 +547,74 @@ def _classify_jacobi(data, c_min, c_max):
             if c["name"].endswith(".jacobi")}
 
 
-def test_three_point_jacobi_matches_per_c(heis1, heis2):
-    # run_classify checks three c per U and infers the rest; the inferred
-    # statuses must be those of a direct check at every c of the window
-    for data in (heis1, heis2):
-        c_max = 2 * data.N + 4
-        got = _classify_jacobi(data, -3, c_max)
-        want = {}
-        for u in ["trivial"] + [str(n) for n in range(1, data.N + 1)] + [
-                "sym2"]:
-            name = u if u in ("trivial", "sym2") else f"pi:{u}"
-            for c in range(-3, c_max + 1):
-                ok = pa.jacobi_check(make_spec(data, u, c))
-                want[f"classify.{name}.c={c}.jacobi"] = (
-                    "pass" if ok else "fail")
-        assert got == want
+def test_jacobi_failure_names_each_c(heis1, monkeypatch):
+    # a defect -2 + c vanishes only at c = 2; every other c of the
+    # window fails its own record, and jacobi_check runs once per U
+    specs = []
 
+    def defect_at_two(spec):
+        specs.append(spec)
+        return [(-2, 1, 0)]
 
-def test_jacobi_falls_back_to_each_c(heis1, monkeypatch):
-    real = pa.jacobi_check
-    seen = []
-
-    def failing_at_minus_three(spec):
-        seen.append(spec.c)
-        return spec.c != -3 and real(spec)
-
-    monkeypatch.setattr(pa, "jacobi_check", failing_at_minus_three)
+    monkeypatch.setattr(pa, "jacobi_check", defect_at_two)
     got = _classify_jacobi(heis1, -3, 6)
     failed = sorted(n for n, status in got.items() if status == "fail")
-    assert failed == [f"classify.{u}.c=-3.jacobi"
-                      for u in ("pi:1", "sym2", "trivial")]
+    assert failed == sorted(f"classify.{u}.c={c}.jacobi"
+                            for u in ("trivial", "pi:1", "sym2")
+                            for c in range(-3, 7) if c != 2)
     assert len(got) == 3 * 10
-    # a failure among the three points sends every c to its own check
-    assert sorted(seen) == sorted(list(range(-3, 7)) * 3)
-    # a window of two values is checked per c, and both are recorded
-    seen.clear()
-    got = _classify_jacobi(heis1, 0, 1)
-    assert sorted(got) == sorted(f"classify.{u}.c={c}.jacobi"
-                                 for u in ("trivial", "pi:1", "sym2")
-                                 for c in (0, 1))
-    assert set(got.values()) == {"pass"}
-    assert sorted(seen) == [0, 0, 0, 1, 1, 1]
+    assert len(specs) == 3
+
+
+def test_jacobi_sees_a_doubled_bracket(sl2, heis1, monkeypatch):
+    # the identity then fails, and the defect agrees with the per-c check
+    real = pa.bracket_element
+    monkeypatch.setattr(pa, "bracket_element", lambda data: {
+        k: 2 * x for k, x in real(data).items()})
+    for data in (sl2, heis1):
+        assert pa.jacobi_check(make_spec(data, "1", 0))
+        _assert_defect_matches_per_c(data, range(-3, 7))
+
+
+def test_jacobi_sees_a_central_term_doubled_in_the_second_action(
+        sl2, heis1, monkeypatch):
+    # the second action reads the left-normal coefficients w_F of the
+    # first; doubling its central term only there breaks the identity,
+    # except at c = 0 where the central term is absent
+    coefficients = []
+    real_normal, real_central = pa.to_left_normal, pa._put_central
+
+    def normal(env, raw):
+        out = real_normal(env, raw)
+        coefficients.extend(out.values())
+        return out
+
+    def central(out, dim, v, scl):
+        second = any(v is w for w in coefficients)
+        return real_central(out, dim, v, 2 * scl if second else scl)
+
+    monkeypatch.setattr(pa, "to_left_normal", normal)
+    monkeypatch.setattr(pa, "_put_central", central)
+    for data in (sl2, heis1):
+        defect = pa.jacobi_check(make_spec(data, "1", 0))
+        assert defect and _vanishes_at(defect, 0)
+        assert not _vanishes_at(defect, 1)
+
+
+def test_rescaled_central_term_passes_jacobi_but_fails_classify(
+        heis1, monkeypatch):
+    # c/2 -> c/3 in both actions only renames c, so the Jacobi defect
+    # stays zero; the classification against the rule must catch it
+    real = pa._put_central
+    monkeypatch.setattr(pa, "_put_central", lambda out, dim, v, scl: real(
+        out, dim, v, scl * Fraction(2, 3)))
+    assert pa.jacobi_check(make_spec(heis1, "1", 0)) == []
+    suite = report_mod.Suite()
+    cli.run_classify(suite, heis1, -3, 6, pfm.trivial_twist(heis1))
+    status = {c["name"]: c["status"] for c in suite.checks}
+    assert all(s == "pass" for n, s in status.items()
+               if n.endswith(".jacobi"))
+    assert status["classify.pi:1.c=1"] == "fail"
 
 
 def test_siblings_match_fresh_specs(heis1, heis2):
