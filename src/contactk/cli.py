@@ -305,14 +305,21 @@ def suite_exterior(suite, data):
                     pr.check(exterior.gl_act(data, E, f).is_zero(),
                              column=k, kernel_vector=(n, t))
     members = pfm.contact_complex_members(data)
-    cx = pfm.constant_complex(
-        members, pfm.contact_complex_hmats(env_mod.get_env(data), members))
+    try:
+        cx = pfm.constant_complex(
+            members, pfm.contact_complex_hmats(env_mod.get_env(data), members))
+    except pfm.SolveFailure as exc:
+        cx, ok, witness = None, False, {"error": str(exc)}
+    else:
+        ok, witness = cx.compositions_vanish(), {"dims": cx.dims}
     suite.record(
         "exterior.rumin_complex",
         "consecutive maps of the constant contact complex compose to zero",
-        cx.compositions_vanish(),
-        {"dims": cx.dims},
+        ok,
+        witness,
     )
+    if cx is None:
+        return
     got = cx.cohomology_dims()
     want = exterior.ce_cohomology_dims(data)
     suite.record(
@@ -689,9 +696,13 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
                        rng.choice(exterior.monomials(dim, nn)))] = \
                     Fraction(rng.randint(-3, 3))
             a = pfm.pform(nn, terms)
-            r1 = pfm.rumin_map(env, a)
-            pr.eq(r1.as_dict(), pfm.rumin_map(env, a, reverse=True).as_dict(),
-                  element=a.as_dict())
+            try:
+                r1 = pfm.rumin_map(env, a)
+                r2 = pfm.rumin_map(env, a, reverse=True)
+            except pfm.SolveFailure as exc:
+                pr.check(False, element=a.as_dict(), error=str(exc))
+                continue
+            pr.eq(r1.as_dict(), r2.as_dict(), element=a.as_dict())
             pr.check(pfm.in_K_pseudo(env, r1), element=a.as_dict(),
                      image=r1.as_dict())
     with suite.probe("rumin.vanishes_on_ideal",
@@ -712,15 +723,27 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
                      Fraction(rng.randint(-3, 3))},
                 )
                 a = a + pfm.omega_mul_p(env, rho)
-            got = pfm.rumin_map(env, a)
+            try:
+                got = pfm.rumin_map(env, a)
+            except pfm.SolveFailure as exc:
+                pr.check(False, element=a.as_dict(), error=str(exc))
+                continue
             pr.check(got.is_zero(), element=a.as_dict(), image=got.as_dict())
     members = pfm.contact_complex_members(data)
-    hmats = pfm.contact_complex_hmats(env, members)
     with suite.probe("rumin.complex_compositions",
                      "consecutive contact-complex maps compose to zero") as pr:
-        for i in range(len(hmats) - 1):
-            comp = pfm.compose_hmats(env, hmats[i], hmats[i + 1])
-            pr.check(pfm.hmat_is_zero(comp), position=i, composition=comp)
+        try:
+            hmats = pfm.contact_complex_hmats(env, members)
+        except pfm.SolveFailure as exc:
+            hmats = None
+            pr.check(False, error=str(exc))
+        else:
+            for i in range(len(hmats) - 1):
+                comp = pfm.compose_hmats(env, hmats[i], hmats[i + 1])
+                pr.check(pfm.hmat_is_zero(comp), position=i,
+                         composition=comp)
+    if hmats is None:
+        return
     suite.info(
         "rumin.member_dims",
         "carrier dimensions along the contact complex",
@@ -741,11 +764,15 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
                 for (F, G, T), c in direct.items():
                     grouped.setdefault((F, G), {})[T] = c
                 raw = {}
-                for (F, G), coeffs in grouped.items():
-                    cform = exterior.form(mem.degree, coeffs)
-                    for idx, cc in mem.form_coords(cform).items():
-                        key = (F, G, ((0,) * dim, idx))
-                        raw[key] = raw.get(key, ZERO) + cc
+                try:
+                    for (F, G), coeffs in grouped.items():
+                        cform = exterior.form(mem.degree, coeffs)
+                        for idx, cc in mem.form_coords(cform).items():
+                            key = (F, G, ((0,) * dim, idx))
+                            raw[key] = raw.get(key, ZERO) + cc
+                except ValueError as exc:  # the image left the carrier
+                    pr.check(False, member=mi, generator=gi, error=str(exc))
+                    continue
                 raw = {k: v for k, v in raw.items() if v}
                 lhs = palg.to_left_normal(env, raw)
                 rhs = palg.to_left_normal(

@@ -4,7 +4,18 @@ Forms are stored by their evaluations against increasing basis tuples:
 a degree-n form is a sparse dict mapping strictly increasing index tuples
 (i_1 < ... < i_n) to rationals, with coefficient = alpha(e_{i_1} ^ ... ^
 e_{i_n}).  On that normalization the wedge product is a shuffle-sign merge
-of index tuples, with no factorials anywhere.
+of index tuples (`merge`), with no factorials anywhere.
+
+d0 (x^k |-> -sum_{i<j} c_ij^k x^i ^ x^j), the contraction with a vector v
+(x^m |-> v^m) and the gl(d) action (x^m |-> -sum_j A[m][j] x^j) are
+graded derivations D, each fixed by its image on covectors.  `derive`
+expands any of them on a monomial by one rule, which holds for D of
+either parity:
+
+    D(x^{k_0} ^ ... ^ x^{k_{n-1}})
+        = sum_p (-1)^p D(x^{k_p}) ^ (x^k without slot p),
+
+so each operator is scattered from the terms of its input.
 
 The module also builds the contact reduction with constant coefficients:
 the subspaces I^n (wedge multiples of theta and omega), the joint kernels
@@ -101,18 +112,37 @@ def monomials(dim, n):
     return list(itertools.combinations(range(dim), n))
 
 
-def insert_index(idx, key):
-    """Sort idx into the increasing tuple key; None if idx already occurs.
+def merge(ka, kb):
+    """x^ka ^ x^kb as (sign, key): key is the sorted ka + kb and sign the
+    parity of the shuffle that sorts it; None if the keys share an index."""
+    inv = j = 0
+    for x in ka:
+        while j < len(kb) and kb[j] < x:
+            j += 1
+        if j < len(kb) and kb[j] == x:
+            return None
+        inv += j
+    return (-ONE if inv % 2 else ONE), tuple(sorted(ka + kb))
 
-    Returns (sign, new_key) with sign the parity of moving idx from the
-    front past the smaller entries.
-    """
-    if idx in key:
-        return None
-    pos = 0
-    while pos < len(key) and key[pos] < idx:
-        pos += 1
-    return (-ONE if pos % 2 else ONE), key[:pos] + (idx,) + key[pos:]
+
+def derive(key, image):
+    """The (key, coefficient) terms of D(x^key) for a derivation D of
+    either parity, with image[m] the terms of D(x^m)."""
+    for p, m in enumerate(key):
+        rest = key[:p] + key[p + 1:]
+        for mk, c in image[m]:
+            hit = merge(mk, rest)
+            if hit is not None:
+                yield hit[1], (-c if p % 2 else c) * hit[0]
+
+
+def _apply(a, degree, image):
+    """The derivation with the given image on a form, to the given degree."""
+    out = {}
+    for key, v in a.items():
+        for full, c in derive(key, image):
+            linalg.vec_put(out, full, c * v)
+    return form(degree, out)
 
 
 def theta_form(data):
@@ -130,24 +160,13 @@ def omega_form(data):
 
 def wedge(a, b):
     """Shuffle-sign merge; bilinear, graded-commutative, associative."""
-    n = a.degree
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            if set(ka) & set(kb):
-                continue
-            merged = tuple(sorted(ka + kb))
-            positions = {idx: p for p, idx in enumerate(merged)}
-            perm = [positions[i] for i in ka] + [positions[i] for i in kb]
-            inv = sum(
-                1
-                for p in range(len(perm))
-                for q in range(p + 1, len(perm))
-                if perm[p] > perm[q]
-            )
-            sign = -ONE if inv % 2 else ONE
-            linalg.vec_put(out, merged, sign * va * vb)
-    return form(n + b.degree, out)
+            hit = merge(ka, kb)
+            if hit is not None:
+                linalg.vec_put(out, hit[1], hit[0] * va * vb)
+    return form(a.degree + b.degree, out)
 
 
 def wedge_power(a, m):
@@ -157,70 +176,49 @@ def wedge_power(a, m):
     return out
 
 
+def d0_image(data):
+    """d0 on covectors, x^k |-> -sum_{i<j} c_ij^k x^i ^ x^j: image[k] is a
+    tuple of ((i, j), coefficient) pairs, built once per datum."""
+
+    def build(data):
+        out = [[] for _ in range(data.dim)]
+        for i in range(data.dim):
+            for j in range(i + 1, data.dim):
+                for k, cv in data.bracket_basis(i, j):
+                    out[k].append(((i, j), -cv))
+        return tuple(tuple(terms) for terms in out)
+
+    return data.derived("d0_image", build)
+
+
 def d0(data, a):
     """Lie algebra cohomology differential with trivial coefficients."""
-    n = a.degree
-    out = {}
-    for key in monomials(data.dim, n + 1):
-        acc = ZERO
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                rest = tuple(x for t, x in enumerate(key) if t != p and t != q)
-                sgn_pq = -ONE if (p + q) % 2 else ONE  # (-1)^{(p+1)+(q+1)}
-                for k, cv in data.bracket_basis(key[p], key[q]):
-                    ins = insert_index(k, rest)
-                    if ins is None:
-                        continue
-                    s, full = ins
-                    acc += sgn_pq * cv * s * a.get(full)
-        if acc:
-            out[key] = acc
-    return form(n + 1, out)
+    return _apply(a, a.degree + 1, d0_image(data))
 
 
 def contract(data, vec, a):
     """Interior product with the vector (coordinate tuple) vec."""
-    n = a.degree
-    if n == 0:
+    if a.degree == 0:
         return Form(-1, ())
-    out = {}
-    for key in monomials(data.dim, n - 1):
-        acc = ZERO
-        for m in range(data.dim):
-            if not vec[m]:
-                continue
-            ins = insert_index(m, key)
-            if ins is None:
-                continue
-            s, full = ins
-            acc += vec[m] * s * a.get(full)
-        if acc:
-            out[key] = acc
-    return form(n - 1, out)
+    return _apply(a, a.degree - 1, contraction_image(vec))
+
+
+def contraction_image(vec):
+    """The contraction with vec on covectors, x^m |-> vec^m, as an image
+    for `derive`."""
+    return [(((), v),) if v else () for v in vec]
+
+
+def gl_image(A):
+    """The even derivation of A in gl(d) on covectors, x^m |-> -sum_j
+    A[m][j] x^j, as an image for `derive`."""
+    return [tuple(((j,), -v) for j, v in enumerate(row) if v) for row in A]
 
 
 def gl_act(data, A, a):
     """Even-derivation action of A in gl(d) on forms: the negative of
     substituting A into each slot; on covectors, e_k^j . x^i = -d^i_k x^j."""
-    n = a.degree
-    out = {}
-    for key in monomials(data.dim, n):
-        acc = ZERO
-        for p in range(n):
-            rest = tuple(x for t, x in enumerate(key) if t != p)
-            sgn_p = -ONE if (p + 1) % 2 else ONE  # (-1)^{p+1}
-            for m in range(data.dim):
-                cm = A[m][key[p]]
-                if not cm:
-                    continue
-                ins = insert_index(m, rest)
-                if ins is None:
-                    continue
-                s, full = ins
-                acc += sgn_p * cm * s * a.get(full)
-        if acc:
-            out[key] = acc
-    return form(n, out)
+    return _apply(a, a.degree, gl_image(A))
 
 
 def theta_mul(data, a):

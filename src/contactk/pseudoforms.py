@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import enveloping as env_mod
 from . import exterior, linalg
-from .exterior import form, insert_index, monomials
+from .exterior import derive, form, merge, monomials
 from .linalg import LinearSystem, vec_iadd, vec_put
 
 ZERO = Fraction(0)
@@ -86,27 +86,12 @@ def h_mul_pf(env, h, a):
 
 def _d0_terms(data, a):
     """The terms of the constant differential d0 applied coefficient by
-    coefficient, gathered over output monomials: a dict (I, T) -> c."""
-    n = a.degree
-    by_s = {}
-    for (I, S), c in a.items():
-        by_s.setdefault(S, {})[I] = c
+    coefficient, scattered from the terms of a: a dict (I, T) -> c."""
+    image = exterior.d0_image(data)
     out = {}
-    for T in monomials(data.dim, n + 1):
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                rest = tuple(x for t, x in enumerate(T) if t != p and t != q)
-                sgn_pq = -ONE if (p + q) % 2 else ONE
-                for k, cv in data.bracket_basis(T[p], T[q]):
-                    ins = insert_index(k, rest)
-                    if ins is None:
-                        continue
-                    s, full = ins
-                    hd = by_s.get(full)
-                    if not hd:
-                        continue
-                    for I, c in hd.items():
-                        vec_put(out, (I, T), sgn_pq * cv * s * c)
+    for (I, S), c in a.items():
+        for T, cd in derive(S, image):
+            vec_put(out, (I, T), cd * c)
     return out
 
 
@@ -117,14 +102,13 @@ def pseudo_d(env, a):
     out = _d0_terms(data, a)
     for (I, S), c in a.items():
         for m in range(data.dim):
-            ins = insert_index(m, S)
-            if ins is None:
+            hit = merge((m,), S)
+            if hit is None:
                 continue
-            ins_sign, T = ins
-            sign = -ins_sign  # (-1)^position, 1-based
+            sign, T = hit
             prod = env.mul({I: ONE}, env_mod.generator(data.dim, m))
             for K, ck in prod.items():
-                vec_put(out, (K, T), sign * c * ck)
+                vec_put(out, (K, T), -sign * c * ck)  # (-1)^position, 1-based
     return pform(a.degree + 1, out)
 
 
@@ -149,13 +133,12 @@ def wedge_pseudo(env, a, b):
     out = {}
     for (I, S), c in a.items():
         for (J, T), e in b.items():
-            merged = exterior.wedge(form(a.degree, {S: ONE}), form(b.degree, {T: ONE}))
-            if merged.is_zero():
+            hit = merge(S, T)
+            if hit is None:
                 continue
-            prod = env.mono_mul(I, J)
-            for U, cu in merged.items():
-                for K, ck in prod.items():
-                    vec_put(out, (K, U), c * e * cu * ck)
+            sign, U = hit
+            for K, ck in env.mono_mul(I, J).items():
+                vec_put(out, (K, U), sign * c * e * ck)
     return pform(a.degree + b.degree, out)
 
 
@@ -164,11 +147,9 @@ def wedge_const(env, a_const, b):
     out = {}
     for (I, S), c in b.items():
         for T, ct in a_const.items():
-            merged = exterior.wedge(
-                form(a_const.degree, {T: ONE}), form(b.degree, {S: ONE})
-            )
-            for U, cu in merged.items():
-                vec_put(out, (I, U), c * ct * cu)
+            hit = merge(T, S)
+            if hit is not None:
+                vec_put(out, (I, hit[1]), hit[0] * c * ct)
     return pform(a_const.degree + b.degree, out)
 
 
@@ -557,58 +538,38 @@ def sample_exactness(env, members, hmats, term, degree_bound):
 
 
 def w_star_direct(env, f_dict, a_vec, pf):
-    """The pseudoaction of f (x) a on a pseudoform, evaluated slotwise.
-    Returns a dict (F, G, T) -> c representing sums of
-    (e^(F) (x) e^(G)) (x)_H (1 (x) x^T)."""
+    """The pseudoaction of f (x) a on a pseudoform, evaluated slotwise and
+    scattered from the terms of pf.  Returns a dict (F, G, T) -> c
+    representing sums of (e^(F) (x) e^(G)) (x)_H (1 (x) x^T)."""
     data = env.data
-    n = pf.degree
-    by_s = {}
-    for (I, S), c in pf.items():
-        by_s.setdefault(S, {})[I] = c
-    out = {}
+    dim = data.dim
     a_elt = env_mod.from_vector(a_vec)
-    for T in monomials(data.dim, n):
-        # -(f (x) g a) alpha(T)
-        hd = by_s.get(T)
-        if hd:
-            for I, c in hd.items():
-                ga = env.mul({I: ONE}, a_elt)
-                for F, cf in f_dict.items():
-                    for K, ck in ga.items():
-                        vec_put(out, (F, K, T), -c * cf * ck)
-        for p in range(n):
-            rest = tuple(x for t, x in enumerate(T) if t != p)
-            sgn = -ONE if (p + 1) % 2 else ONE
-            # (f a_p (x) g) alpha(a ^ rest)
-            for m in range(data.dim):
-                if not a_vec[m]:
+    # alpha([a, .] ^ rest) is the gl action of ad a on alpha, and
+    # alpha(a ^ rest) its contraction with a
+    ad_a = exterior.gl_image(linalg.mat_comb(
+        dim, [(v, data.ad_matrix(k)) for k, v in enumerate(a_vec)]))
+    contraction = exterior.contraction_image(a_vec)
+    f_times = [env.mul(f_dict, env_mod.generator(dim, j)) for j in range(dim)]
+    out = {}
+    for (I, S), c in pf.items():
+        # -(f (x) g a) alpha
+        for K, ck in env.mul({I: ONE}, a_elt).items():
+            for F, cf in f_dict.items():
+                vec_put(out, (F, K, S), -c * cf * ck)
+        # (f (x) g) alpha([a, .] ^ rest)
+        for T, cb in derive(S, ad_a):
+            for F, cf in f_dict.items():
+                vec_put(out, (F, I, T), cb * c * cf)
+        # (f e_j (x) g) alpha(a ^ rest) in each slot holding x^j: the
+        # derivation x^m |-> -a^m x^j, summed over j
+        for rest, ca in derive(S, contraction):
+            for j in range(dim):
+                hit = merge((j,), rest)
+                if hit is None:
                     continue
-                ins = insert_index(m, rest)
-                if ins is None:
-                    continue
-                s, full = ins
-                hd = by_s.get(full)
-                if not hd:
-                    continue
-                fap = env.mul(f_dict, env_mod.generator(data.dim, T[p]))
-                for I, c in hd.items():
-                    for F, cf in fap.items():
-                        vec_put(out, (F, I, T), sgn * a_vec[m] * s * c * cf)
-            # (f (x) g) alpha([a, a_p] ^ rest)
-            br = data.bracket_vec(a_vec, data.basis_vector(T[p]))
-            for m in range(data.dim):
-                if not br[m]:
-                    continue
-                ins = insert_index(m, rest)
-                if ins is None:
-                    continue
-                s, full = ins
-                hd = by_s.get(full)
-                if not hd:
-                    continue
-                for I, c in hd.items():
-                    for F, cf in f_dict.items():
-                        vec_put(out, (F, I, T), sgn * br[m] * s * c * cf)
+                sign, T = hit
+                for F, cf in f_times[j].items():
+                    vec_put(out, (F, I, T), -sign * ca * c * cf)
     return out
 
 

@@ -47,8 +47,27 @@ def algebras(sl2, heis1, heis2):
 
 
 @pytest.fixture(scope="session")
+def reference_algebras(algebras, nonuni, heis2_rebased):
+    """Every datum the scattered form operators are compared on against
+    their gather references."""
+    return dict(algebras, heis3=contact_lie.heisenberg(3), nonuni=nonuni,
+                heis2_rebased=heis2_rebased)
+
+
+@pytest.fixture(scope="session")
 def small_algebras(sl2, heis1):
     return {"sl2": sl2, "heis1": heis1}
+
+
+def insert_index(idx, key):
+    """Sort idx into the increasing tuple key; None if idx already occurs.
+    Returns (sign, new_key) with sign the parity of moving idx from the
+    front past the smaller entries: the sign rule of the gather references
+    for the form operators."""
+    if idx in key:
+        return None
+    pos = sum(1 for x in key if x < idx)
+    return (-1 if pos % 2 else 1), key[:pos] + (idx,) + key[pos:]
 
 
 def make_spec(data, u_kind, c, twist=None):

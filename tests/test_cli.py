@@ -332,3 +332,26 @@ def test_rumin_trials_sets_the_sample_count(monkeypatch):
         completion = calls.count(True)
         draws.append((completion, calls.count(False) - completion))
     assert draws == [(1, 1), (1, 1), (25, 25)]
+
+
+def test_failed_rumin_completion_is_a_recorded_fail(monkeypatch, tmp_path):
+    # a negated constant differential leaves the completion outside the
+    # primitive part: every place that completes records a fail with the
+    # message, and the run ends with exit 1, not a traceback
+    d0_terms = pfm._d0_terms
+    monkeypatch.setattr(pfm, "_d0_terms", lambda data, a: {
+        k: -v for k, v in d0_terms(data, a).items()})
+    expect = {
+        "verify-core": ["exterior.rumin_complex"],
+        "rumin": ["rumin.completion_independent", "rumin.vanishes_on_ideal",
+                  "rumin.complex_compositions"],
+    }
+    for command, names in expect.items():
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--algebra", "heisenberg:1", "--format", "json",
+                    "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in names:
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["witness"]["error"] == \
+                "completion left the primitive subspace"

@@ -9,6 +9,7 @@ from contactk import contact_lie as cl
 from contactk import exterior as ex
 from contactk import pseudoforms as pfm
 from contactk.enveloping import get_env
+from conftest import insert_index
 
 ONE = Fraction(1)
 
@@ -236,3 +237,148 @@ def test_column_algebra_lemma(small_algebras):
                     assert ech.contains(img.as_dict())
                 for f in ex.compute_K(data, n):
                     assert ex.gl_act(data, E, f).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# references: the gather loops that `d0`, `contract`, `gl_act` and `wedge`
+# replaced, which visit every monomial of the output degree and insert an
+# index into each slot's remainder
+
+
+def _d0_reference(data, a):
+    n = a.degree
+    out = {}
+    for key in ex.monomials(data.dim, n + 1):
+        acc = Fraction(0)
+        for p in range(n + 1):
+            for q in range(p + 1, n + 1):
+                rest = tuple(x for t, x in enumerate(key) if t != p and t != q)
+                sgn_pq = -ONE if (p + q) % 2 else ONE
+                for k, cv in data.bracket_basis(key[p], key[q]):
+                    ins = insert_index(k, rest)
+                    if ins is not None:
+                        acc += sgn_pq * cv * ins[0] * a.get(ins[1])
+        if acc:
+            out[key] = acc
+    return ex.form(n + 1, out)
+
+
+def _contract_reference(dim, vec, a):
+    n = a.degree
+    if n == 0:
+        return ex.Form(-1, ())
+    out = {}
+    for key in ex.monomials(dim, n - 1):
+        acc = Fraction(0)
+        for m in range(dim):
+            ins = insert_index(m, key) if vec[m] else None
+            if ins is not None:
+                acc += vec[m] * ins[0] * a.get(ins[1])
+        if acc:
+            out[key] = acc
+    return ex.form(n - 1, out)
+
+
+def _gl_act_reference(dim, A, a):
+    n = a.degree
+    out = {}
+    for key in ex.monomials(dim, n):
+        acc = Fraction(0)
+        for p in range(n):
+            rest = tuple(x for t, x in enumerate(key) if t != p)
+            sgn_p = -ONE if (p + 1) % 2 else ONE
+            for m in range(dim):
+                ins = insert_index(m, rest) if A[m][key[p]] else None
+                if ins is not None:
+                    acc += sgn_p * A[m][key[p]] * ins[0] * a.get(ins[1])
+        if acc:
+            out[key] = acc
+    return ex.form(n, out)
+
+
+def _wedge_reference(a, b):
+    """The wedge with the sign counted as the inversions of the
+    permutation that sorts the concatenated keys."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            if set(ka) & set(kb):
+                continue
+            merged = tuple(sorted(ka + kb))
+            pos = {idx: p for p, idx in enumerate(merged)}
+            perm = [pos[i] for i in ka + kb]
+            inv = sum(1 for p in range(len(perm))
+                      for q in range(p + 1, len(perm)) if perm[p] > perm[q])
+            sign = -ONE if inv % 2 else ONE
+            out[merged] = out.get(merged, 0) + sign * va * vb
+    return ex.form(a.degree + b.degree, out)
+
+
+def _sparse_matrix(rng, dim, density=0.3):
+    return tuple(
+        tuple(Fraction(rng.randint(-3, 3)) if rng.random() < density
+              else Fraction(0) for _ in range(dim))
+        for _ in range(dim))
+
+
+def test_operators_match_gather_references_on_every_monomial(
+        reference_algebras):
+    # d0, contraction by each basis vector and the adjoint action of one
+    # basis vector and one sparse random matrix, on every monomial
+    rng = random.Random(41)
+    for name, data in reference_algebras.items():
+        dim = data.dim
+        mats = [data.ad_matrix(rng.randrange(dim)), _sparse_matrix(rng, dim)]
+        for n in range(dim + 1):
+            for key in ex.monomials(dim, n):
+                f = ex.form(n, {key: Fraction(rng.randint(1, 5))})
+                assert ex.d0(data, f) == _d0_reference(data, f), (name, key)
+                for k in range(dim):
+                    vk = data.basis_vector(k)
+                    assert ex.contract(data, vk, f) == \
+                        _contract_reference(dim, vk, f), (name, key, k)
+                for A in mats:
+                    assert ex.gl_act(data, A, f) == \
+                        _gl_act_reference(dim, A, f), (name, key, A)
+
+
+def test_operators_match_gather_references_on_random_inputs(
+        reference_algebras):
+    rng = random.Random(43)
+    for name, data in reference_algebras.items():
+        dim = data.dim
+        for _ in range(12):
+            n = rng.randint(0, dim)
+            f = rand_form(rng, dim, n, terms=4)
+            A = _sparse_matrix(rng, dim)
+            v = tuple(Fraction(rng.randint(-3, 3)) if rng.random() < 0.5
+                      else Fraction(0) for _ in range(dim))
+            assert ex.gl_act(data, A, f) == _gl_act_reference(dim, A, f), \
+                (name, f, A)
+            assert ex.contract(data, v, f) == _contract_reference(dim, v, f), \
+                (name, f, v)
+            assert ex.d0(data, f) == _d0_reference(data, f), (name, f)
+
+
+def test_wedge_matches_inversion_count_reference():
+    rng = random.Random(47)
+    for dim in (3, 5, 7):
+        for _ in range(40):
+            a = rand_form(rng, dim, rng.randint(0, dim), terms=3)
+            b = rand_form(rng, dim, rng.randint(0, dim), terms=3)
+            assert ex.wedge(a, b) == _wedge_reference(a, b), (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ka=st.sets(st.integers(0, 9), max_size=6),
+       kb=st.sets(st.integers(0, 9), max_size=6))
+def test_merge_sign_is_parity_of_sorting_permutation(ka, kb):
+    ka, kb = tuple(sorted(ka)), tuple(sorted(kb))
+    hit = ex.merge(ka, kb)
+    if set(ka) & set(kb):
+        assert hit is None
+        return
+    seq = ka + kb
+    inv = sum(1 for p in range(len(seq)) for q in range(p + 1, len(seq))
+              if seq[p] > seq[q])
+    assert hit == ((-1) ** inv, tuple(sorted(seq)))

@@ -1,0 +1,66 @@
+"""Each formula home can fail: a one-line sabotage of it must make a
+recorded check fail.
+
+A sabotage is applied with `monkeypatch`; `verify-core` and `rumin` on
+heisenberg:1 then run through `cli.main`, which must return 1 (a
+recorded failure), not raise.  `pseudoforms` imports `derive` and `merge`
+by name, so those are patched in both namespaces.
+"""
+
+import json
+
+import pytest
+
+from contactk import cli
+from contactk import exterior as ex
+from contactk import pseudoforms as pfm
+
+DERIVE = ex.derive
+MERGE = ex.merge
+D0_IMAGE = ex.d0_image
+GL_IMAGE = ex.gl_image
+
+
+def _derive_flipped(key, image):
+    for full, c in DERIVE(key, image):
+        yield full, -c
+
+
+def _merge_flipped(ka, kb):
+    hit = MERGE(ka, kb)
+    return None if hit is None else (-hit[0], hit[1])
+
+
+def _negated(image):
+    return [tuple((k, -c) for k, c in terms) for terms in image]
+
+
+SABOTAGES = {
+    "derive_sign": [(ex, "derive", _derive_flipped),
+                    (pfm, "derive", _derive_flipped)],
+    "merge_sign": [(ex, "merge", _merge_flipped),
+                   (pfm, "merge", _merge_flipped)],
+    "d0_image_negated": [(ex, "d0_image",
+                          lambda data: _negated(D0_IMAGE(data)))],
+    "gl_image_negated": [(ex, "gl_image", lambda A: _negated(GL_IMAGE(A)))],
+}
+
+
+def _failures(argv, tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(argv + ["--format", "json", "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    return code, [c["name"] for c in checks if c["status"] == "fail"]
+
+
+@pytest.mark.parametrize("name", sorted(SABOTAGES))
+def test_sabotage_is_a_recorded_failure(name, monkeypatch, tmp_path):
+    for module, attr, value in SABOTAGES[name]:
+        monkeypatch.setattr(module, attr, value)
+    seen = []
+    for command in ("verify-core", "rumin"):
+        code, failed = _failures([command, "--algebra", "heisenberg:1"],
+                                 tmp_path)
+        assert code == (1 if failed else 0), (command, failed)
+        seen += failed
+    assert seen, name

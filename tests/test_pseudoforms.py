@@ -6,6 +6,7 @@ from contactk import exterior as ex
 from contactk import linalg as la
 from contactk import pseudoforms as pfm
 from contactk.enveloping import get_env
+from conftest import insert_index
 
 ONE = Fraction(1)
 
@@ -300,3 +301,106 @@ def test_character_twists(nonuni):
     assert tw.mats[2][0][0] == Fraction(-1)
     shifted = pfm.twist_times_character(tw, nonuni.trace_ad)
     assert shifted.mats[2][0][0] == Fraction(-2)
+
+
+# ---------------------------------------------------------------------------
+# references: the gather loops that `_d0_terms` and `w_star_direct`
+# replaced, which visit every monomial T of the output degree
+
+
+def _by_monomial(pf):
+    by_s = {}
+    for (I, S), c in pf.items():
+        by_s.setdefault(S, {})[I] = c
+    return by_s
+
+
+def _d0_terms_reference(data, a):
+    n = a.degree
+    by_s = _by_monomial(a)
+    out = {}
+    for T in ex.monomials(data.dim, n + 1):
+        for p in range(n + 1):
+            for q in range(p + 1, n + 1):
+                rest = tuple(x for t, x in enumerate(T) if t != p and t != q)
+                sgn_pq = -ONE if (p + q) % 2 else ONE
+                for k, cv in data.bracket_basis(T[p], T[q]):
+                    ins = insert_index(k, rest)
+                    if ins is None:
+                        continue
+                    for I, c in by_s.get(ins[1], {}).items():
+                        la.vec_put(out, (I, T), sgn_pq * cv * ins[0] * c)
+    return out
+
+
+def _w_star_direct_reference(env, f_dict, a_vec, pf):
+    data = env.data
+    n = pf.degree
+    by_s = _by_monomial(pf)
+    out = {}
+    a_elt = ev.from_vector(a_vec)
+    for T in ex.monomials(data.dim, n):
+        for I, c in by_s.get(T, {}).items():
+            ga = env.mul({I: ONE}, a_elt)
+            for F, cf in f_dict.items():
+                for K, ck in ga.items():
+                    la.vec_put(out, (F, K, T), -c * cf * ck)
+        for p in range(n):
+            rest = tuple(x for t, x in enumerate(T) if t != p)
+            sgn = -ONE if (p + 1) % 2 else ONE
+            fap = env.mul(f_dict, ev.generator(data.dim, T[p]))
+            br = data.bracket_vec(a_vec, data.basis_vector(T[p]))
+            for m in range(data.dim):
+                ins = insert_index(m, rest)
+                if ins is None:
+                    continue
+                s, full = ins
+                for I, c in by_s.get(full, {}).items():
+                    for F, cf in fap.items():
+                        la.vec_put(out, (F, I, T), sgn * a_vec[m] * s * c * cf)
+                    for F, cf in f_dict.items():
+                        la.vec_put(out, (F, I, T), sgn * br[m] * s * c * cf)
+    return out
+
+
+def test_d0_terms_match_gather_reference(reference_algebras):
+    rng = random.Random(53)
+    for name, data in reference_algebras.items():
+        for n in range(data.dim + 1):
+            for _ in range(3):
+                a = rand_pf(rng, data.dim, n, max_plain=3, terms=4)
+                assert pfm._d0_terms(data, a) == \
+                    _d0_terms_reference(data, a), (name, a)
+
+
+def test_w_star_direct_matches_gather_reference(reference_algebras):
+    # non-constant coefficients on both sides: f is a random element and
+    # the pseudoform's H coefficients have degree up to 2
+    rng = random.Random(59)
+    for name, data in reference_algebras.items():
+        env = get_env(data)
+        idx = ev.multi_indices(data.dim, 2)
+        for n in range(data.dim + 1):
+            a = rand_pf(rng, data.dim, n, max_plain=2, terms=3)
+            f = {rng.choice(idx): Fraction(rng.randint(1, 3)),
+                 rng.choice(idx): Fraction(rng.randint(-3, -1))}
+            a_vec = tuple(Fraction(rng.randint(-2, 2))
+                          for _ in range(data.dim))
+            assert pfm.w_star_direct(env, f, a_vec, a) == \
+                _w_star_direct_reference(env, f, a_vec, a), (name, n)
+
+
+def test_wedge_const_matches_coefficientwise_wedge(reference_algebras):
+    rng = random.Random(61)
+    for name, data in reference_algebras.items():
+        env = get_env(data)
+        for n in range(data.dim + 1):
+            a = rand_pf(rng, data.dim, n, terms=4)
+            for const in (ex.theta_form(data), ex.omega_form(data)):
+                want = {}
+                for I in pfm.pf_h_support(a):
+                    comp = pfm.pf_component(a, I)
+                    for S, c in ex.wedge(const, comp).items():
+                        want[(I, S)] = c
+                got = pfm.wedge_const(env, const, a)
+                assert got == pfm.pform(n + const.degree, want), (name, n)
