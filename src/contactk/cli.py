@@ -127,7 +127,7 @@ def suite_contact(suite, data):
     with suite.probe("contact.radical",
                      "the distinguished direction spans the radical of omega "
                      "and brackets into the barred part") as pr:
-        pr.check(exterior.contract(data, data.basis_vector(0), om).is_zero(),
+        pr.check(exterior.contract(data.basis_vector(0), om).is_zero(),
                  part="contraction of omega with s")
         for i in range(dim):
             pr.eq(
@@ -238,9 +238,9 @@ def suite_exterior(suite, data):
             for n in range(dim + 1):
                 for key in exterior.monomials(dim, n):
                     f = exterior.form(n, {key: ONE})
-                    lhs = exterior.gl_act(data, A, f)
-                    rhs = exterior.d0(data, exterior.contract(data, vk, f)) + \
-                        exterior.contract(data, vk, exterior.d0(data, f))
+                    lhs = exterior.gl_act(A, f)
+                    rhs = exterior.d0(data, exterior.contract(vk, f)) + \
+                        exterior.contract(vk, exterior.d0(data, f))
                     pr.eq(lhs.as_dict(), rhs.as_dict(),
                           direction=k, monomial=key)
     gens = sp_rep.sp_gens_for(data)
@@ -248,26 +248,25 @@ def suite_exterior(suite, data):
                      "the grading element scales theta and omega by -2; "
                      "raised elementary matrices send omega to monomials; the "
                      "symplectic algebra kills both") as pr:
-        pr.eq(exterior.gl_act(data, gens.i_prime, th).as_dict(),
+        pr.eq(exterior.gl_act(gens.i_prime, th).as_dict(),
               (Fraction(-2) * th).as_dict(), acting="grading on theta")
-        pr.eq(exterior.gl_act(data, gens.i_prime, om).as_dict(),
+        pr.eq(exterior.gl_act(gens.i_prime, om).as_dict(),
               (Fraction(-2) * om).as_dict(), acting="grading on omega")
         for i in range(1, dim):
             for j in range(dim):
                 # e^{ij} in gl(d), including the column-0 case
-                got = exterior.gl_act(
-                    data, sp_rep.e_raised_full(data, i, j), om)
+                got = exterior.gl_act(sp_rep.e_raised_full(data, i, j), om)
                 want = exterior.wedge(exterior.one_form(i),
                                       exterior.one_form(j))
                 pr.eq(got.as_dict(), want.as_dict(), raised=(i, j))
         for (i, j), f in gens.f_raised.items():
             full = sp_rep.embed_bar(data, f)
-            pr.check(exterior.gl_act(data, full, th).is_zero(),
+            pr.check(exterior.gl_act(full, th).is_zero(),
                      generator=(i, j), on="theta")
-            pr.check(exterior.gl_act(data, full, om).is_zero(),
+            pr.check(exterior.gl_act(full, om).is_zero(),
                      generator=(i, j), on="omega")
         for j in range(dim):
-            pr.check(exterior.gl_act(data, linalg.elementary(dim, 0, j),
+            pr.check(exterior.gl_act(linalg.elementary(dim, 0, j),
                                      om).is_zero(), row_zero_matrix=j)
     with suite.probe("exterior.reduction_ranges",
                      "the ideal fills the top half and the kernel the bottom "
@@ -297,12 +296,11 @@ def suite_exterior(suite, data):
             for n in range(dim + 1):
                 ech = exterior.compute_I(data, n)
                 for key in exterior.monomials(dim, n):
-                    img = exterior.gl_act(data, E,
-                                          exterior.form(n, {key: ONE}))
+                    img = exterior.gl_act(E, exterior.form(n, {key: ONE}))
                     pr.check(ech.contains(img.as_dict()), column=k,
                              monomial=key)
                 for t, f in enumerate(exterior.compute_K(data, n)):
-                    pr.check(exterior.gl_act(data, E, f).is_zero(),
+                    pr.check(exterior.gl_act(E, f).is_zero(),
                              column=k, kernel_vector=(n, t))
     members = pfm.contact_complex_members(data)
     try:
@@ -623,7 +621,7 @@ def suite_sp(suite, data):
         for n in range(2 * data.N + 1):
             for key in exterior.bar_monomials(dim, n):
                 f = exterior.form(n, {key: ONE})
-                got = exterior.gl_act(data, gens.i_prime, f)
+                got = exterior.gl_act(gens.i_prime, f)
                 pr.eq(got.as_dict(), (Fraction(-n) * f).as_dict(),
                       degree=n, monomial=key)
 

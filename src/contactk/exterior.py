@@ -196,7 +196,7 @@ def d0(data, a):
     return _apply(a, a.degree + 1, d0_image(data))
 
 
-def contract(data, vec, a):
+def contract(vec, a):
     """Interior product with the vector (coordinate tuple) vec."""
     if a.degree == 0:
         return Form(-1, ())
@@ -215,7 +215,7 @@ def gl_image(A):
     return [tuple(((j,), -v) for j, v in enumerate(row) if v) for row in A]
 
 
-def gl_act(data, A, a):
+def gl_act(A, a):
     """Even-derivation action of A in gl(d) on forms: the negative of
     substituting A into each slot; on covectors, e_k^j . x^i = -d^i_k x^j."""
     return _apply(a, a.degree, gl_image(A))

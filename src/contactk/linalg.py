@@ -10,7 +10,8 @@ columns.  Both work over a `Field`: the rationals `QQ` (Fractions), or
 `modular_kernel` uses to find a kernel over Q cheaply and then checks
 exactly.  Dense matrices are tuples of tuples of Fractions with a handful
 of helpers (linear combination, product, inverse, Kronecker product)
-used by the representation-theoretic modules.
+used by the representation-theoretic modules; the products (mat_mul,
+mat_vec, kron) cost per nonzero entry, never multiplying by a zero.
 
 Every result is exact; no floats anywhere.
 """
@@ -384,13 +385,30 @@ def mat_comb(n, terms):
     return tuple(map(tuple, acc))
 
 
+def _row_terms(row):
+    """The (j, x) pairs of the nonzero entries x = row[j]."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+    """The product a b, as the sum of x * (row k of b) over the nonzero
+    entries x = a[i][k] of each row of a: one multiply per pair of
+    nonzero factors, none per zero."""
+    width = len(b[0]) if b else 0
+    brows = [_row_terms(row) for row in b]
+    out = []
+    for ra in a:
+        acc = [ZERO] * width
+        for x, bk in zip(ra, brows):
+            if x:
+                for j, y in bk:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, v) if x), ZERO) for row in a)
 
 
 def commutator(a, b):
@@ -406,13 +424,25 @@ def is_zero_matrix(a):
 
 
 def kron(a, b):
-    """Kronecker product acting on the tensor basis e_i (x) e_j."""
-    nb = len(b)
-    return tuple(
-        tuple(a[i][k] * b[j][l] for k in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for j in range(nb)
-    )
+    """Kronecker product acting on the tensor basis e_i (x) e_j; a zero
+    entry of a contributes a block of ZERO, with no multiply."""
+    width = len(b[0]) if b else 0
+    blank = (ZERO,) * width
+    brows = [_row_terms(rb) for rb in b]
+    rows = []
+    for ra in a:
+        for terms in brows:
+            row = []
+            for x in ra:
+                if x:
+                    block = [ZERO] * width
+                    for l, y in terms:
+                        block[l] = x * y
+                    row += block
+                else:
+                    row += blank
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def inverse(a):

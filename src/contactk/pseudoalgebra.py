@@ -60,7 +60,7 @@ class _CFreeState:
     A spec and every sibling `TensorModuleSpec.at` makes from it hold one
     of these, so each part is built once for all of them: the carrier
     columns, the generator images without the central term, the Casimir
-    on the carrier and, once the spec has siblings, the singular-space
+    on U and, once the spec has siblings, the singular-space
     column pairs per cutoff (`columns`) and their images mod P
     (`residues`).  A standalone spec keeps neither (both are None):
     `_column_pairs` and `_residue_pairs` stream them."""
@@ -156,12 +156,12 @@ class TensorModuleSpec:
         return state.carrier
 
     def casimir(self):
-        """The Casimir -sum_{ij} rho(f_ij) rho(f^{ij}) on the carrier R,
-        built on the first call."""
+        """The Casimir -sum_{ij} f_ij f^{ij} on U, built on the first call;
+        on the carrier R it acts on each Pi block of dim_u coordinates."""
         state = self._state
         if state.casimir is None:
-            cas = sp_rep.casimir_apply(self.data, self.sp_gens, self.sprep)
-            state.casimir = linalg.kron(linalg.identity(self.dim_pi), cas)
+            state.casimir = sp_rep.casimir_apply(
+                self.data, self.sp_gens, self.sprep)
         return state.casimir
 
     # -- the defining action on generators ----------------------------------
@@ -596,7 +596,9 @@ def degree2_structure_check(spec, v, p):
     want_v0 = tuple((spec.c / 2 - nn - 1) * x for x in u_vec)
     ok_v0 = v0 == want_v0
     # c v_0 = sum_ab f_ab f^{ab} (u): the negative of the Casimir
-    rhs = tuple(-x for x in linalg.mat_vec(spec.casimir(), u_vec))
+    cas, du = spec.casimir(), spec.dim_u
+    rhs = tuple(-x for p0 in range(0, spec.dim_r, du)
+                for x in linalg.mat_vec(cas, u_vec[p0:p0 + du]))
     ok_cas = tuple(spec.c * x for x in v0) == rhs
     if any(u_vec):
         quadratic = spec.c ** 2 - (2 * nn + 2) * spec.c + p * (2 * nn + 2 - p)

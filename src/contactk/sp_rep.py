@@ -265,7 +265,7 @@ def form_rep(data, sp_gens, basis, coords):
         full = embed_bar(data, fbar)
         cols = []
         for f in basis:
-            sol = coords(exterior.gl_act(data, full, f))
+            sol = coords(exterior.gl_act(full, f))
             if sol is None:  # pragma: no cover
                 raise ArithmeticError("action does not preserve the subspace")
             cols.append(sol)

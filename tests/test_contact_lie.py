@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -253,3 +254,70 @@ def test_derived_objects_do_not_keep_the_datum_alive():
     del data, rep, spec
     gc.collect()
     assert ref() is None
+
+
+# any JSON value; integers stay small, and dim <= 9 wherever it is drawn
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.floats(),
+              st.text(max_size=4)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=3), kids,
+                                           max_size=3)),
+    max_leaves=8)
+_RATIONALISH = st.one_of(
+    st.integers(-3, 3),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(-1, 3)),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+    _JSON)
+
+
+@st.composite
+def _algebra_documents(draw):
+    """Documents in the input format with small entries; most have up to
+    three fields or entries replaced by an arbitrary value, or removed."""
+    dim = draw(st.sampled_from((3, 5, 7)))
+    small = st.integers(-2, 2)
+    index = st.integers(0, dim - 1)
+    bracket = st.tuples(index, index, index, small, st.integers(1, 3))
+    doc = {"dim": dim,
+           "brackets": draw(st.lists(bracket.map(list), max_size=5)),
+           "theta": draw(st.lists(small, min_size=dim, max_size=dim))}
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(("dim", "brackets", "theta", "drop",
+                                      "bracket", "slot", "coefficient")))
+        if where == "dim":
+            doc["dim"] = draw(st.one_of(st.integers(max_value=9), _JSON))
+        elif where in ("brackets", "theta"):
+            doc[where] = draw(st.one_of(st.lists(_RATIONALISH, max_size=9),
+                                        _JSON))
+        elif where == "drop":
+            doc.pop(draw(st.sampled_from(("dim", "brackets", "theta"))),
+                    None)
+        else:
+            key = "theta" if where == "coefficient" else "brackets"
+            rows = doc.get(key)
+            if not isinstance(rows, list) or not rows:
+                continue
+            at = draw(st.integers(0, len(rows) - 1))
+            if where == "coefficient":
+                rows[at] = draw(_RATIONALISH)
+            elif where == "bracket" or not isinstance(rows[at], list) or \
+                    not rows[at]:
+                rows[at] = draw(st.one_of(st.lists(_RATIONALISH, max_size=6),
+                                          _JSON))
+            else:
+                slot = draw(st.integers(0, len(rows[at]) - 1))
+                rows[at][slot] = draw(st.one_of(st.integers(-1, 9), _JSON))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_algebra_documents(), _JSON))
+def test_any_small_document_loads_or_raises_value_error(doc):
+    # the input boundary: a malformed datum is a ValueError, never another
+    # exception (cli turns a ValueError into one error line and exit 2)
+    try:
+        data = cl.load_algebra(json.dumps(doc))
+    except ValueError:
+        return
+    assert data.dim == doc["dim"] <= 9

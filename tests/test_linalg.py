@@ -381,6 +381,74 @@ def test_inverse_rejects_singular():
         la.inverse(la.mat([[1, 2], [2, 4]]))
 
 
+# references: the dense kernels that `linalg` used before its products
+# skipped zero entries; every entry is one sum over a full row and column
+
+
+def _mat_mul_reference(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt)
+                 for ra in a)
+
+
+def _mat_vec_reference(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _kron_reference(a, b):
+    return tuple(
+        tuple(a[i][k] * b[j][l] for k in range(len(a[0]))
+              for l in range(len(b[0])))
+        for i in range(len(a))
+        for j in range(len(b))
+    )
+
+
+def _sparse_matrices(n, m):
+    """n x m rational matrices, mostly zero and sometimes all zero; n x 0
+    is n empty rows."""
+    entry = st.one_of(st.just(ZERO), RATIONAL)
+    dense = st.lists(st.tuples(*[entry] * m), min_size=n, max_size=n)
+    return st.one_of(dense.map(tuple), st.just(la.zeros(n, m)))
+
+
+def _is_fraction_matrix(m):
+    return type(m) is tuple and all(
+        type(row) is tuple and all(type(x) is Fraction for x in row)
+        for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 4), k=st.integers(0, 4), m=st.integers(0, 4),
+       data=st.data())
+def test_sparse_kernels_match_dense_references(n, k, m, data):
+    a = data.draw(_sparse_matrices(n, k))
+    b = data.draw(_sparse_matrices(k, m))
+    v = data.draw(_sparse_matrices(1, k))[0]
+    got = la.mat_mul(a, b)
+    assert got == _mat_mul_reference(a, b)
+    assert _is_fraction_matrix(got)
+    assert [len(row) for row in got] == [m if k else 0] * n
+    got = la.mat_vec(a, v)
+    assert got == _mat_vec_reference(a, v)
+    assert _is_fraction_matrix((got,))
+    got = la.kron(a, b)
+    assert got == _kron_reference(a, b)
+    assert _is_fraction_matrix(got)
+
+
+def test_sparse_kernels_on_fixed_shapes():
+    one = la.mat([[3]])
+    assert la.mat_mul(one, one) == la.mat([[9]])
+    assert la.kron(one, la.zeros(1)) == la.zeros(1)
+    # an n x 0 factor: no inner terms, and no columns from an empty b
+    empty = ((), ())
+    assert la.mat_mul(empty, ()) == empty == _mat_mul_reference(empty, ())
+    assert la.mat_vec(empty, ()) == (ZERO, ZERO)
+    assert la.kron(empty, one) == empty == _kron_reference(empty, one)
+    assert la.kron((), one) == () == la.kron(one, ())
+
+
 def test_kron_mixed_product():
     a = la.mat([[1, 2], [0, 1]])
     b = la.mat([[0, 1], [1, 0]])

@@ -8,17 +8,24 @@ by name, so those are patched in both namespaces.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from contactk import cli
 from contactk import exterior as ex
+from contactk import linalg as la
+from contactk import pseudoalgebra as pa
 from contactk import pseudoforms as pfm
+from contactk import sp_rep as sp
 
 DERIVE = ex.derive
 MERGE = ex.merge
 D0_IMAGE = ex.d0_image
 GL_IMAGE = ex.gl_image
+MAT_MUL = la.mat_mul
+LOWER_TWO = sp.lower_two
+PUT_CENTRAL = pa._put_central
 
 
 def _derive_flipped(key, image):
@@ -35,6 +42,16 @@ def _negated(image):
     return [tuple((k, -c) for k, c in terms) for terms in image]
 
 
+def _mat_mul_dropping_one(a, b):
+    """The product with its first nonzero entry set to zero."""
+    rows = [list(row) for row in MAT_MUL(a, b)]
+    hit = next(((row, j) for row in rows for j, x in enumerate(row) if x),
+               None)
+    if hit is not None:
+        hit[0][hit[1]] = la.ZERO
+    return tuple(map(tuple, rows))
+
+
 SABOTAGES = {
     "derive_sign": [(ex, "derive", _derive_flipped),
                     (pfm, "derive", _derive_flipped)],
@@ -43,6 +60,13 @@ SABOTAGES = {
     "d0_image_negated": [(ex, "d0_image",
                           lambda data: _negated(D0_IMAGE(data)))],
     "gl_image_negated": [(ex, "gl_image", lambda A: _negated(GL_IMAGE(A)))],
+    "mat_mul_swapped": [(la, "mat_mul", lambda a, b: MAT_MUL(b, a))],
+    "mat_mul_drops_an_entry": [(la, "mat_mul", _mat_mul_dropping_one)],
+    "lower_two_negated": [(sp, "lower_two", lambda data, n, f, i, j:
+                           la.mat_scale(LOWER_TWO(data, n, f, i, j), -1))],
+    # c/2 -> c/3 in the central term of the generator action
+    "central_term_third": [(pa, "_put_central", lambda out, dim, v, scl:
+                            PUT_CENTRAL(out, dim, v, scl * Fraction(2, 3)))],
 }
 
 

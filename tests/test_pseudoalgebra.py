@@ -383,6 +383,14 @@ def test_degree2_structure(heis1):
     bad = dict(deg2[0])
     bad[((0, 1, 0), 0)] = bad.get(((0, 1, 0), 0), ZERO) + 1
     assert not pa.degree2_structure_check(spec, bad, p=1)[0]
+    # a two-dimensional Pi: the Casimir on U acts on each Pi block of u
+    spec = make_spec(heis1, "1", 1, cli.builtin_twist(heis1, "nilpotent2"))
+    basis, _ = pa.singular_space(spec)
+    deg2 = [v for v in basis if pa.element_degree(v) == 2]
+    assert deg2
+    for v in deg2:
+        ok, details = pa.degree2_structure_check(spec, v, p=1)
+        assert ok and not details["u_is_zero"], details
 
 
 def test_coefficient_lemma(heis1):

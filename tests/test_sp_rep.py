@@ -129,6 +129,13 @@ def test_casimir_eigenvalues(algebras):
             )
             for (_k, fm) in rep.fmats:
                 assert la.commutator(cas, fm) == la.zeros(rep.dim)
+    # N = 4, where pi:4 has dimension 42: the scalars p(2N+2-p)/2
+    data = cl.heisenberg(4)
+    gens = sp.build_sp(data)
+    for n, want in enumerate((0, Fraction(9, 2), 8, Fraction(21, 2), 12)):
+        rep = sp.fundamental_rep(data, gens, n)
+        cas = sp.casimir_apply(data, gens, rep)
+        assert sp.scalar_matrix_value(cas) == want
 
 
 def test_casimir_zero_on_trivial(heis1):
@@ -317,7 +324,7 @@ def _per_column_fmats(data, basis, solve):
     fmats = []
     for key, f in sorted(gens.f_raised.items()):
         full = sp.embed_bar(data, f)
-        cols = [solve(ex.gl_act(data, full, b)) for b in basis]
+        cols = [solve(ex.gl_act(full, b)) for b in basis]
         fmats.append((key, tuple(tuple(cols[c].get(r, ZERO) for c in range(n))
                                  for r in range(n))))
     return tuple(fmats)
