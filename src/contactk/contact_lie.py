@@ -18,6 +18,7 @@ Conventions in the normalized frame:
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -388,9 +389,14 @@ def builtin(name):
 
 
 def parse_rational(x):
+    """x as a Fraction: an int, a string `Fraction` reads, or a pair of
+    ints; anything else raises ValueError, as does a string over the
+    digit limit of `_check_exponent`."""
     if isinstance(x, bool):
         raise ValueError("boolean is not a rational")
     try:
+        if isinstance(x, str):
+            _check_exponent(x)
         if isinstance(x, (int, str)):
             return Fraction(x)
         if isinstance(x, (list, tuple)) and len(x) == 2 and all(
@@ -399,6 +405,22 @@ def parse_rational(x):
     except ZeroDivisionError:
         raise ValueError(f"rational {x!r} has denominator 0") from None
     raise ValueError(f"cannot parse rational from {x!r}")
+
+
+def _check_exponent(text):
+    """Reject a string whose numerator or denominator would have more than
+    sys.get_int_max_str_digits() digits, the limit `json` puts on integer
+    tokens.  `Fraction` parses each integer under it, but scales by
+    10^|exp| unchecked; the mantissa's digits plus |exp| bound both."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exp = text.lower().partition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not (limit and exp.isdecimal()):
+        return
+    digits = sum(ch.isdecimal() for ch in mantissa)
+    if len(exp) > len(str(limit)) or digits + int(exp) > limit:
+        raise ValueError(
+            f"rational {text!r} has more than {limit} digits")
 
 
 def _bracket_index(x, dim):

@@ -60,16 +60,15 @@ class _CFreeState:
     A spec and every sibling `TensorModuleSpec.at` makes from it hold one
     of these, so each part is built once for all of them: the carrier
     columns, the generator images without the central term, the Casimir
-    on U and, once the spec has siblings, the singular-space
-    column pairs per cutoff (`columns`) and their images mod P
-    (`residues`).  A standalone spec keeps neither (both are None):
-    `_column_pairs` and `_residue_pairs` stream them."""
+    on U and, once the spec has siblings, the images mod P of the
+    singular-space column pairs per cutoff (`residues`).  A standalone
+    spec keeps none (`residues` is None).  No exact column is kept:
+    `_stream_pairs` rebuilds the ones a `singular_space` check reads."""
 
     def __init__(self):
         self.carrier = None
         self.generators = {}
         self.casimir = None
-        self.columns = None
         self.residues = None
 
 
@@ -103,13 +102,13 @@ class TensorModuleSpec:
         """The same (data, twist, U) module at central charge c.
 
         The result and this spec are siblings: they share one
-        `_CFreeState`, and from now on `_column_pairs` keeps the column
-        pairs (m0, m1) and their images mod P on that state, so each
-        sibling's `singular_space` only forms m0 + c m1."""
+        `_CFreeState`, and from now on `_residue_pairs` keeps the column
+        pairs (m0, m1) mod P on that state, so each sibling's
+        `singular_space` only forms m0 + c m1 mod P, and streams the exact
+        columns its check reads."""
         twin = copy.copy(self)
         twin.c = Fraction(c)
-        if self._state.columns is None:
-            self._state.columns = {}
+        if self._state.residues is None:
             self._state.residues = {}
         return twin
 
@@ -310,30 +309,19 @@ def _stream_pairs(spec, cutoff, labels=None):
             yield (I, r), m0, m1
 
 
-def _kept(cache, cutoff, pairs):
-    """pairs() itself when `cache` is None (a standalone spec); otherwise
-    the list of pairs() kept in `cache`, once per cutoff."""
-    if cache is None:
-        return pairs()
-    if cutoff not in cache:
-        cache[cutoff] = list(pairs())
-    return cache[cutoff]
-
-
-def _column_pairs(spec, cutoff):
-    """The pairs of `_stream_pairs` for every column.  A spec with siblings
-    keeps the list on its shared state, once per cutoff; a standalone spec
-    gets a generator and keeps nothing."""
-    return _kept(spec._state.columns, cutoff,
-                 lambda: _stream_pairs(spec, cutoff))
-
-
 def _residue_pairs(spec, cutoff):
-    """((I, r), m0 mod P, m1 mod P) for each of `_column_pairs`, with None
-    for a half that has no image mod P; kept like `_column_pairs`."""
-    return _kept(spec._state.residues, cutoff, lambda: (
-        (label, linalg.vec_mod(m0), linalg.vec_mod(m1))
-        for label, m0, m1 in _column_pairs(spec, cutoff)))
+    """((I, r), m0 mod P, m1 mod P) for each pair of `_stream_pairs`, with
+    None for a half that has no image mod P.  A spec with siblings keeps
+    the list on its shared state, once per cutoff; a standalone spec gets
+    a generator and keeps nothing."""
+    pairs = ((label, linalg.vec_mod(m0), linalg.vec_mod(m1))
+             for label, m0, m1 in _stream_pairs(spec, cutoff))
+    kept = spec._state.residues
+    if kept is None:
+        return pairs
+    if cutoff not in kept:
+        kept[cutoff] = list(pairs)
+    return kept[cutoff]
 
 
 def singular_space(spec, cutoff=None):
@@ -341,26 +329,19 @@ def singular_space(spec, cutoff=None):
     bounded by the cutoff (2 when the symplectic action is nontrivial,
     3 otherwise, following the degree bound for proper submodules).
 
-    The singular vectors are the kernel of the columns m0 + c m1 from
-    `_column_pairs`, found by `linalg.modular_kernel`: it eliminates the
+    The singular vectors are the kernel of the columns m0 + c m1 of
+    `_stream_pairs`, found by `linalg.modular_kernel`: it eliminates the
     columns modulo the prime P = 2^61 - 1, lifts each kernel vector to Q
     by rational reconstruction and checks it exactly against the rational
-    columns of its support.  It eliminates over Q only when a column has
-    no image mod P, or a lift or a check fails.  Either way the result is
-    the list `LinearSystem.kernel` gives over Q, so reports do not depend
-    on the path:
-    - the entries are P-integral, so rank_P <= rank_Q, and
-      dim ker_Q <= dim ker_P;
-    - each lifted vector is checked to lie in ker_Q;
-    - the lifted vectors are in reduced echelon form with respect to
-      column order (a lift keeps the support, and 1 lifts to 1), so they
-      are independent: there are dim ker_P of them, so they span ker_Q;
-    - a subspace has one reduced basis, and `kernel` returns it.
+    columns of its support, eliminating over Q only when that fails.  Its
+    docstring shows why the result is always the list
+    `LinearSystem.kernel` gives over Q, so reports do not depend on the
+    path.
 
-    Columns are streamed for a standalone spec and kept, with their
-    images mod P, for one with siblings (see `TensorModuleSpec.at`); both
-    eliminate the same columns in the same order.  The basis vectors are
-    dicts (I, r) -> coefficient."""
+    The residues are streamed for a standalone spec and kept for one with
+    siblings (see `TensorModuleSpec.at`).  The exact columns are always
+    streamed: those of the lifted kernel's support, or all of them on the
+    exact fallback.  The basis vectors are dicts (I, r) -> coefficient."""
     if cutoff is None:
         cutoff = default_cutoff(spec)
     c = spec.c
@@ -374,15 +355,8 @@ def singular_space(spec, cutoff=None):
                 yield label, linalg.GF_P.iadd(dict(m0), m1, c_mod)
 
     def columns(labels):
-        if labels is None:
-            pairs = _column_pairs(spec, cutoff)
-        elif spec._state.columns is None:
-            pairs = _stream_pairs(spec, cutoff, labels)
-        else:
-            pairs = [t for t in _column_pairs(spec, cutoff)
-                     if t[0] in labels]
-        for label, m0, m1 in pairs:
-            yield label, vec_iadd(dict(m0), m1, c)
+        for label, m0, m1 in _stream_pairs(spec, cutoff, labels):
+            yield label, vec_iadd(m0, m1, c)
 
     return linalg.modular_kernel(residues(), columns), cutoff
 

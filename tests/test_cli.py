@@ -201,7 +201,7 @@ def test_malformed_algebra_file_is_bad_config(doc, tmp_path, capsys):
     one_line_error(capsys)
 
 
-@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize("value", ["1/0", "abc", "1e1000000"])
 def test_bad_central_scalar_is_bad_config(value, capsys):
     assert run(["singular", "--algebra", "heisenberg:1", "--c", value]) == 2
     assert value in one_line_error(capsys)

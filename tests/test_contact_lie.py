@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -189,6 +190,23 @@ def test_load_algebra_roundtrip(tmp_path):
 def test_load_algebra_bad_theta_length():
     with pytest.raises(ValueError):
         cl.load_algebra('{"dim": 3, "brackets": [], "theta": [1, 0]}')
+
+
+def test_load_algebra_rejects_a_huge_exponent():
+    # 92 bytes that would build million-digit integers: rejected before
+    # Fraction runs, at the digit limit json puts on integer tokens
+    doc = ('{"dim": 3, "brackets": [[0, 1, 2, 1, 1]], "theta": '
+           '["1e1000000", "1e-1000000", "3e1000000"]}')
+    with pytest.raises(ValueError, match="digits"):
+        cl.load_algebra(doc)
+    limit = sys.get_int_max_str_digits()
+    assert cl.parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert cl.parse_rational(f"-2.5e-{limit - 3}") == \
+        Fraction(-25, 10 ** (limit - 2))
+    for text in (f"1e{limit}", f"1e-{limit}", f"1.5e{limit - 1}",
+                 f"1e{'9' * 30}", f"1e+{limit}"):
+        with pytest.raises(ValueError, match="digits"):
+            cl.parse_rational(text)
 
 
 def test_resolve_algebra_builtin():

@@ -1,10 +1,10 @@
 """Each formula home can fail: a one-line sabotage of it must make a
 recorded check fail.
 
-A sabotage is applied with `monkeypatch`; `verify-core` and `rumin` on
-heisenberg:1 then run through `cli.main`, which must return 1 (a
-recorded failure), not raise.  `pseudoforms` imports `derive` and `merge`
-by name, so those are patched in both namespaces.
+A sabotage is applied with `monkeypatch`; `verify-core`, `rumin` and
+`classify` on heisenberg:1 then run through `cli.main`, which must return
+1 (a recorded failure), not raise.  `pseudoforms` imports `derive` and
+`merge` by name, so those are patched in both namespaces.
 """
 
 import json
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from contactk import cli
+from contactk import enveloping as ev
 from contactk import exterior as ex
 from contactk import linalg as la
 from contactk import pseudoalgebra as pa
@@ -26,6 +27,8 @@ GL_IMAGE = ex.gl_image
 MAT_MUL = la.mat_mul
 LOWER_TWO = sp.lower_two
 PUT_CENTRAL = pa._put_central
+PSI_MAP = pa.psi_map
+ANTIPODE = ev.Enveloping.antipode_basis
 
 
 def _derive_flipped(key, image):
@@ -67,6 +70,12 @@ SABOTAGES = {
     # c/2 -> c/3 in the central term of the generator action
     "central_term_third": [(pa, "_put_central", lambda out, dim, v, scl:
                             PUT_CENTRAL(out, dim, v, scl * Fraction(2, 3)))],
+    "psi_map_doubled": [(pa, "psi_map", lambda spec, u_vec:
+                         la.vec_scale(PSI_MAP(spec, u_vec), 2))],
+    # S(e^(I)) = -(-1)^{|I|} reversed product / I!
+    "antipode_sign_flipped": [(ev.Enveloping, "antipode_basis",
+                               lambda env, I: la.vec_scale(ANTIPODE(env, I),
+                                                           -1))],
 }
 
 
@@ -82,7 +91,7 @@ def test_sabotage_is_a_recorded_failure(name, monkeypatch, tmp_path):
     for module, attr, value in SABOTAGES[name]:
         monkeypatch.setattr(module, attr, value)
     seen = []
-    for command in ("verify-core", "rumin"):
+    for command in ("verify-core", "rumin", "classify"):
         code, failed = _failures([command, "--algebra", "heisenberg:1"],
                                  tmp_path)
         assert code == (1 if failed else 0), (command, failed)

@@ -653,31 +653,73 @@ def test_siblings_match_fresh_specs(heis1, heis2):
 
 
 def test_standalone_spec_streams_its_columns(heis1, monkeypatch):
-    # a standalone spec gets its column pairs as an iterator and keeps
-    # none; its first sibling makes the shared state keep the list
+    # a standalone spec gets its residues as an iterator and keeps none;
+    # its first sibling makes the shared state keep the residue list, the
+    # images mod P of the streamed pairs, and no exact column is kept
     returned = []
-    real = pa._column_pairs
+    real = pa._residue_pairs
 
     def spy(spec, cutoff):
         returned.append(real(spec, cutoff))
         return returned[-1]
 
-    monkeypatch.setattr(pa, "_column_pairs", spy)
+    monkeypatch.setattr(pa, "_residue_pairs", spy)
     spec = make_spec(heis1, "1", 1)
     basis, cutoff = pa.singular_space(spec)
-    assert spec._state.columns is None
+    assert spec._state.residues is None
     assert not isinstance(returned[0], list) and iter(returned[0]) is \
         returned[0]
     sib = spec.at(1)
     assert pa.singular_space(sib) == (basis, cutoff)
     assert isinstance(returned[1], list)
-    assert spec._state.columns == {cutoff: returned[1]}
+    assert spec._state.residues == {cutoff: returned[1]}
+    assert returned[1] == [
+        (label, la.vec_mod(m0), la.vec_mod(m1))
+        for label, m0, m1 in pa._stream_pairs(spec, cutoff)]
+    assert not hasattr(spec._state, "columns")
+
+
+def test_sibling_check_streams_only_its_support(heis1, monkeypatch):
+    # on the heisenberg:1 scan, each singular_space call on a sibling that
+    # needs no exact fallback asks _stream_pairs for exactly the labels of
+    # the basis it returns: the exact columns the lift check reads
+    requests, fallbacks, checked = [], [], []
+    real_stream = pa._stream_pairs
+    real_space = pa.singular_space
+    real_exact = la.exact_kernel
+
+    def stream(spec, cutoff, labels=None):
+        if labels is not None:
+            requests.append(set(labels))
+        return real_stream(spec, cutoff, labels)
+
+    def exact(columns):
+        fallbacks.append(True)
+        return real_exact(columns)
+
+    def space(spec, cutoff=None):
+        requests.clear()
+        fallbacks.clear()
+        basis, used = real_space(spec, cutoff)
+        if spec._state.residues is not None and not fallbacks:
+            assert requests == [set().union(*basis)], spec.c
+            checked.append(spec.c)
+        return basis, used
+
+    monkeypatch.setattr(pa, "_stream_pairs", stream)
+    monkeypatch.setattr(la, "exact_kernel", exact)
+    monkeypatch.setattr(pa, "singular_space", space)
+    suite = report_mod.Suite()
+    cli.run_classify(suite, heis1, -3, 6, pfm.trivial_twist(heis1))
+    assert all(c["status"] != "fail" for c in suite.checks)
+    # trivial, pi:1 and sym2, ten values of c each
+    assert len(checked) == 30
 
 
 def _exact_singular_space(spec, cutoff):
     sys = la.LinearSystem()
-    for label, m0, m1 in pa._column_pairs(spec, cutoff):
-        sys.add_column(label, la.vec_iadd(dict(m0), m1, spec.c))
+    for label, m0, m1 in pa._stream_pairs(spec, cutoff):
+        sys.add_column(label, la.vec_iadd(m0, m1, spec.c))
     return sys.kernel()
 
 
