@@ -106,19 +106,14 @@ def embed_k(env, x):
     acc = {}
     for I, c in x.coeffs.items():
         if contact_degree(I) <= t:
-            acc[(I, 0)] = acc.get((I, 0), ZERO) + c
+            linalg.vec_put(acc, (I, 0), c)
     for i in range(1, dim):
         xi = d_right(env, x, data.basis_vector(i))
         dual = data.dual_vector(i)
         for I, c in xi.coeffs.items():
             for m in range(1, dim):
                 if dual[m]:
-                    key = (I, m)
-                    w = acc.get(key, ZERO) - c * dual[m]
-                    if w:
-                        acc[key] = w
-                    else:
-                        acc.pop(key, None)
+                    linalg.vec_put(acc, (I, m), -c * dual[m])
     return TruncatedWElement(dim, t, acc)
 
 
@@ -221,7 +216,7 @@ def w0_quotient_iso_check(env, truncation=4):
                 const = {}
                 for (I, j), c in br.coeffs.items():
                     if plain_degree(I) == 0:
-                        const[j] = const.get(j, ZERO) + c
+                        linalg.vec_put(const, j, c)
                 want_vec = linalg.mat_vec(
                     linalg.mat_scale(linalg.elementary(dim, a, m), -ONE),
                     data.basis_vector(k),
@@ -273,8 +268,8 @@ def fourier_images_check(env, truncation=4):
         dual_j = data.dual_vector(j)
         for m in range(1, dim):
             if dual_j[m]:
-                want[(zero, m)] = want.get((zero, m), ZERO) + dual_j[m]
-        want[(eps[j], 0)] = want.get((eps[j], 0), ZERO) + ONE
+                linalg.vec_put(want, (zero, m), dual_j[m])
+        linalg.vec_put(want, (eps[j], 0), ONE)
         for i in range(1, dim):
             for k in range(i + 1, dim):
                 c = data.c[i][k][j]
@@ -283,8 +278,7 @@ def fourier_images_check(env, truncation=4):
                 dual_i = data.dual_vector(i)
                 for m in range(1, dim):
                     if dual_i[m]:
-                        key = (eps[k], m)
-                        want[key] = want.get(key, ZERO) - c * dual_i[m]
+                        linalg.vec_put(want, (eps[k], m), -c * dual_i[m])
         compare(f"covector_{j}", embed_k(env, dual_mono(eps[j])), want, "mod")
 
     # (iii): x^0 -> x^0 (x) e_0 - sum_{0<i<k} omega_ik x^k (x) d^i
@@ -297,8 +291,7 @@ def fourier_images_check(env, truncation=4):
             dual_i = data.dual_vector(i)
             for m in range(1, dim):
                 if dual_i[m]:
-                    key = (eps[k], m)
-                    want[key] = want.get(key, ZERO) - w * dual_i[m]
+                    linalg.vec_put(want, (eps[k], m), -w * dual_i[m])
     compare("vertical", embed_k(env, dual_mono(eps[0])), want, "mod")
 
     # (iv): x^i x^j -> 2 f^{ij} mod W_1 (through the gl identification)

@@ -441,11 +441,10 @@ def suite_enveloping(suite, data, rng):
                     for k in ks:
                         c = data.c[i][k][j]
                         if c:
-                            key = tuple(env_mod.eps(dim, k))
-                            want[key] = want.get(key, ZERO) + sign * c
+                            linalg.vec_put(want, tuple(env_mod.eps(dim, k)),
+                                           sign * c)
                     got = {I: c for I, c in res.coeffs.items() if sum(I) <= 1}
-                    pr.eq(got, {k: v for k, v in want.items() if v},
-                          action=side, pair=(i, j))
+                    pr.eq(got, want, action=side, pair=(i, j))
     with suite.probe("enveloping.coadjoint_difference",
                      "the two dual actions differ exactly by the coadjoint "
                      "action") as pr:
@@ -766,12 +765,10 @@ def suite_rumin(suite, data, rng, degree_bound, trials, twist):
                     for (F, G), coeffs in grouped.items():
                         cform = exterior.form(mem.degree, coeffs)
                         for idx, cc in mem.form_coords(cform).items():
-                            key = (F, G, ((0,) * dim, idx))
-                            raw[key] = raw.get(key, ZERO) + cc
+                            linalg.vec_put(raw, (F, G, ((0,) * dim, idx)), cc)
                 except ValueError as exc:  # the image left the carrier
                     pr.check(False, member=mi, generator=gi, error=str(exc))
                     continue
-                raw = {k: v for k, v in raw.items() if v}
                 lhs = palg.to_left_normal(env, raw)
                 rhs = palg.to_left_normal(
                     env, palg.e_star_raw(spec, {((0,) * dim, gi): ONE})

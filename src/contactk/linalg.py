@@ -336,10 +336,6 @@ def _is_relation(vec, columns):
 # dense matrices (tuples of tuples of Fractions)
 
 
-def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def zeros(n, m=None):
     m = n if m is None else m
     return tuple((ZERO,) * m for _ in range(n))

@@ -78,7 +78,11 @@ class TensorModuleSpec:
     There is one action formula; complex members reach it through the
     shift stated at `member_tensor_spec`.  It depends on c only through
     the central term c/2 (e_0 (x) 1) (x)_H u_r, which `e_star_raw` adds;
-    everything else is kept on a `_CFreeState` that `at` shares.
+    everything else is kept on a `_CFreeState` that `at` shares.  Its
+    generator table holds e * (1 (x) u_r) per r as terms
+    (e^(F) (x) 1) (x)_H (e^(K) (x) u_rr) keyed (F, (K, rr)): the second
+    leg is always the unit and is not stored, and `_e_star_free` extends
+    the table H-bilinearly by putting e^(J) there for e^(J) (x) u_r.
 
     The carrier R = Pi (x) U has the basis r = p*dim_u + u.  Its action
     enters the generator formula through the matrices of `CarrierColumns`,
@@ -166,7 +170,11 @@ class TensorModuleSpec:
     # -- the defining action on generators ----------------------------------
 
     def _e_star_generator(self, r):
-        """e * (1 (x) u_r) as raw terms, without the central term."""
+        """e * (1 (x) u_r) without the central term, as a dict
+        (F, (K, rr)) -> coefficient meaning the sum of the terms
+        (e^(F) (x) 1) (x)_H (e^(K) (x) u_rr).  The second leg of every
+        term of the formula is the unit, so it is not stored;
+        `_e_star_free` puts e^(J) there for a generator e^(J) (x) u_r."""
         cache = self._state.generators
         hit = cache.get(r)
         if hit is not None:
@@ -179,26 +187,25 @@ class TensorModuleSpec:
         epsk = [tuple(env_mod.eps(dim, k)) for k in range(dim)]
         raw = {}
 
-        def put(F, G, J, col, scl=ONE):
+        def put(F, K, col, scl=ONE):
             for rr, x in col:
-                vec_put(raw, (F, G, (J, rr)), scl * x)
+                vec_put(raw, (F, (K, rr)), scl * x)
 
         # the carrier acts plainly (the trace shift of the module is
         # already absorbed into the shape of the formula)
-        put(zero_i, zero_i, zero_i, car.first[r])
-        put(zero_i, zero_i, epsk[0], unit_u, -ONE)
+        put(zero_i, zero_i, car.first[r])
+        put(zero_i, epsk[0], unit_u, -ONE)
         for k in range(1, dim):
-            put(epsk[k], zero_i, zero_i, car.dual[k][r], -ONE)
+            put(epsk[k], zero_i, car.dual[k][r], -ONE)
             dual = data.dual_vector(k)
             for m in range(1, dim):
                 if dual[m]:
-                    put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
+                    put(epsk[k], epsk[m], unit_u, dual[m])
 
         # the quadratic symplectic terms psi(u_r); the central term is
         # added by e_star_raw, so that these terms serve every c
-        unit_r = tuple(ONE if rr == r else ZERO for rr in range(self.dim_r))
-        for (F, rr), x in psi_map(self, unit_r).items():
-            vec_put(raw, (F, zero_i, (zero_i, rr)), x)
+        for (F, rr), x in psi_map(self, {r: ONE}).items():
+            vec_put(raw, (F, (zero_i, rr)), x)
 
         cache[r] = raw
         return raw
@@ -224,25 +231,27 @@ def _put_central(out, dim, v, scl):
 
 def _e_star_free(spec, v):
     """The raw action terms of `e_star_raw` without the central term, so
-    the same for every c."""
+    the same for every c.  By H-bilinearity the term
+    (e^(F) (x) 1) (x)_H (e^(K) (x) u_rr) of e * (1 (x) u_r) becomes
+    (e^(F) (x) e^(J)) (x)_H (e^(K) (x) u_rr) in e * (e^(J) (x) u_r): the
+    second leg is e^(J) itself."""
     out = {}
     for (J, r), coeff in v.items():
-        base = spec._e_star_generator(r)
-        for (F, G, (K, rr)), c in base.items():
-            for G2, cg in spec.env.mono_mul(J, G).items():
-                key = (F, G2, (K, rr))
-                w = out.get(key, ZERO) + coeff * c * cg
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+        for (F, (K, rr)), c in spec._e_star_generator(r).items():
+            key = (F, J, (K, rr))
+            w = out.get(key, ZERO) + coeff * c
+            if w:
+                out[key] = w
+            else:
+                out.pop(key, None)
     return out
 
 
 def e_star_raw(spec, v):
     """Raw action terms: dict (F, G, (J, r)) -> coefficient, meaning sums
     of (e^(F) (x) e^(G)) (x)_H (e^(J) (x) u_r).  The H-bilinear extension
-    multiplies the second tensor slot for module coefficients."""
+    puts the coefficient e^(J) of a module element e^(J) (x) u_r in the
+    second tensor slot, G = J."""
     return _put_central(_e_star_free(spec, v), spec.data.dim, v, spec.c / 2)
 
 
@@ -486,30 +495,24 @@ def rho_sing_iprime(spec, v):
 # structural checks
 
 
-def psi_map(spec, u_vec):
-    """psi(u) = sum_{ij} e_i e_j (x) f^{ij} u as a module element."""
+def psi_map(spec, u):
+    """psi(u) = sum_{ij} e_i e_j (x) f^{ij} u as a module element, for u
+    a sparse vector r -> coefficient of the carrier."""
     env = spec.env
     dim = spec.data.dim
-    fcols = spec.carrier().f
-    support = [(r, x) for r, x in enumerate(u_vec) if x]
     out = {}
-    for i in range(1, dim):
-        for j in range(1, dim):
-            cols = fcols.get((i, j))
-            if cols is None:
-                continue
-            fu = [ZERO] * spec.dim_r
-            for r, x in support:
-                for rr, y in cols[r]:
-                    fu[rr] += x * y
-            if not any(fu):
-                continue
-            prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
-                                tuple(env_mod.eps(dim, j)))
-            for K, ck in prod.items():
-                for r, x in enumerate(fu):
-                    if x:
-                        vec_put(out, (K, r), ck * x)
+    for (i, j), cols in spec.carrier().f.items():
+        fu = {}
+        for r, x in u.items():
+            for rr, y in cols[r]:
+                vec_put(fu, rr, x * y)
+        if not fu:
+            continue
+        prod = env.mono_mul(tuple(env_mod.eps(dim, i)),
+                            tuple(env_mod.eps(dim, j)))
+        for K, ck in prod.items():
+            for rr, x in fu.items():
+                vec_put(out, (K, rr), ck * x)
     return out
 
 
@@ -523,10 +526,7 @@ def coefficient_lemma_check(spec, v):
         vcomp.setdefault(I, {})[r] = c
     support = set(vcomp) | set(right)
     for I in support:
-        u_vec = tuple(
-            vcomp.get(I, {}).get(r, ZERO) for r in range(spec.dim_r)
-        )
-        want = psi_map(spec, u_vec)
+        want = psi_map(spec, vcomp.get(I, {}))
         got = right.get(I, {})
         keys = {k for k in want if sum(k[0]) >= 2} | {
             k for k in got if sum(k[0]) >= 2
@@ -551,8 +551,7 @@ def degree2_structure_check(spec, v, p):
             and key[0][0] == 0}
     sys = LinearSystem()
     for r in range(spec.dim_r):
-        unit_u = tuple(ONE if i == r else ZERO for i in range(spec.dim_r))
-        col = {key: c for key, c in psi_map(spec, unit_u).items()
+        col = {key: c for key, c in psi_map(spec, {r: ONE}).items()
                if sum(key[0]) == 2 and key[0][0] == 0}
         sys.add_column(r, col)
     sol = sys.solve(quad)
@@ -562,7 +561,7 @@ def degree2_structure_check(spec, v, p):
     eps0 = tuple(env_mod.eps(data.dim, 0))
     # psi(u) itself carries a e_0 component through straightening; v_0 is
     # the e_0 coefficient of the remainder v - psi(u)
-    psi_u = psi_map(spec, u_vec)
+    psi_u = psi_map(spec, sol)
     v0 = tuple(
         v.get((eps0, r), ZERO) - psi_u.get((eps0, r), ZERO)
         for r in range(spec.dim_r)

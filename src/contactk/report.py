@@ -94,10 +94,6 @@ class Suite:
             }
         )
 
-    @property
-    def failed(self):
-        return [c for c in self.checks if c["status"] == "fail"]
-
 
 def build_report(command, config, suite):
     checks = sorted(suite.checks, key=lambda c: c["name"])

@@ -53,6 +53,20 @@ CASES = {
         "verify-core", "--algebra", "tests/data/heis2_rebased.json",
         "--suite", "contact,sp",
     ],
+    "classify_sl2_aff1_trivial": [
+        "classify", "--algebra", "tests/data/sl2_aff1.json", "--pi", "trivial",
+    ],
+    "classify_sl2_aff1_tr_ad": [
+        "classify", "--algebra", "tests/data/sl2_aff1.json", "--pi", "tr-ad",
+    ],
+    "classify_heis1_aff1_trivial": [
+        "classify", "--algebra", "tests/data/heis1_aff1.json",
+        "--pi", "trivial",
+    ],
+    "classify_heis1_aff1_tr_ad": [
+        "classify", "--algebra", "tests/data/heis1_aff1.json", "--pi", "tr-ad",
+    ],
+    "rumin_heis1_aff1": ["rumin", "--algebra", "tests/data/heis1_aff1.json"],
     "annihilation_sl2_t4": [
         "annihilation", "--algebra", "sl2", "--truncation", "4",
     ],

@@ -1,40 +1,51 @@
 """Layout lint: no library definition without a library use.
 
 Every module-level function and class of the package must be referenced
-by name (an `ast.Name` or an `ast.Attribute`) somewhere in the package,
-be exported by `__init__`, or be the console entry point `cli.main`, and
-every method of a package class other than a dunder must be referenced
-by name in the package.  A helper whose only callers are tests belongs in
-those tests.  Docstrings
-and comments are not code, so a name mentioned only there is unused.
+somewhere in the package, be exported by `__init__`, or be the console
+entry point `cli.main`, and every method of a package class other than a
+dunder must be referenced in the package.  A module-level definition is
+referenced by an attribute of its name, or by a name that some scope
+loads without binding it (so a local variable `mat` is not a use of a
+function `mat`); a method is referenced only by an attribute.  A helper
+whose only callers are tests belongs in those tests.  Docstrings and
+comments are not code, so a name mentioned only there is unused.
 """
 
 import ast
 import os
+import symtable
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "contactk")
 ENTRY_POINTS = {("cli", "main")}
 
 
-def _trees():
+def _sources():
     out = {}
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-                out[name[:-3]] = ast.parse(fh.read(), filename=name)
+                out[name[:-3]] = fh.read()
     return out
 
 
-def _used_names(trees):
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+def _trees():
+    return {module: ast.parse(text, filename=f"{module}.py")
+            for module, text in _sources().items()}
+
+
+def _global_loads(table):
+    """The names some scope under `table` reads as globals."""
+    out = {sym.get_name() for sym in table.get_symbols()
+           if sym.is_referenced() and sym.is_global()}
+    for child in table.get_children():
+        out |= _global_loads(child)
+    return out
+
+
+def _attributes(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
 
 
 def _exported(init_tree):
@@ -47,7 +58,9 @@ def _exported(init_tree):
 
 def test_every_definition_has_a_library_use():
     trees = _trees()
-    used = _used_names(trees)
+    used = _attributes(trees)
+    for module, text in _sources().items():
+        used |= _global_loads(symtable.symtable(text, module, "exec"))
     exported = _exported(trees["__init__"])
     unused = []
     for module, tree in trees.items():
@@ -69,7 +82,7 @@ def _is_dunder(name):
 
 def test_every_method_has_a_library_use():
     trees = _trees()
-    used = _used_names(trees)
+    used = _attributes(trees)
     unused = []
     for module, tree in trees.items():
         for cls in tree.body:

@@ -12,6 +12,11 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def mat(rows):
+    """The dense matrix of the rows, entries as Fractions."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
 def matrix_rank(a):
     ech = la.Echelon()
     for row in a:
@@ -313,7 +318,7 @@ def test_kernel_and_rank_match_sympy(sympy, n_rows, n_cols, data):
     sys = la.LinearSystem()
     for j, col in enumerate(cols):
         sys.add_column(j, {i: x for i, x in enumerate(col) if x})
-    rows = la.mat(zip(*cols))
+    rows = mat(zip(*cols))
     m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                       for row in rows])
     kern = sys.kernel()
@@ -329,12 +334,12 @@ def test_kernel_and_rank_match_sympy(sympy, n_rows, n_cols, data):
 
 def test_mat_comb_empty_zero_and_fractional():
     assert la.mat_comb(3, []) == la.zeros(3)
-    a = la.mat([[1, 2], [3, 4]])
+    a = mat([[1, 2], [3, 4]])
     assert la.mat_comb(2, [(0, a)]) == la.zeros(2)
     third = Fraction(1, 3)
     assert la.mat_comb(2, [(third, a), (0, a), (-third, a)]) == la.zeros(2)
     half = la.mat_comb(2, [(Fraction(1, 2), a)])
-    assert half == la.mat([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+    assert half == mat([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
     # integer coefficients and entries still give Fractions
     got = la.mat_comb(2, [(2, ((1, 0), (0, 1)))])
     assert all(type(x) is Fraction for row in got for x in row)
@@ -349,7 +354,7 @@ def test_mat_comb_matches_fold(seed):
     def q():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
-    terms = [(rng.choice((0, q())), la.mat([[q() for _ in range(n)]
+    terms = [(rng.choice((0, q())), mat([[q() for _ in range(n)]
                                              for _ in range(n)]))
              for _ in range(rng.randint(0, 5))]
     fold = la.zeros(n)
@@ -363,22 +368,22 @@ def test_mat_comb_matches_fold(seed):
 def test_inverse_roundtrip(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    mat = None
-    while mat is None:
-        cand = la.mat(
+    a = None
+    while a is None:
+        cand = mat(
             [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(n)] for _ in range(n)]
         )
         if matrix_rank(cand) == n:
-            mat = cand
-    inv = la.inverse(mat)
-    assert la.mat_mul(mat, inv) == la.identity(n)
-    assert la.mat_mul(inv, mat) == la.identity(n)
+            a = cand
+    inv = la.inverse(a)
+    assert la.mat_mul(a, inv) == la.identity(n)
+    assert la.mat_mul(inv, a) == la.identity(n)
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        la.inverse(la.mat([[1, 2], [2, 4]]))
+        la.inverse(mat([[1, 2], [2, 4]]))
 
 
 # references: the dense kernels that `linalg` used before its products
@@ -438,8 +443,8 @@ def test_sparse_kernels_match_dense_references(n, k, m, data):
 
 
 def test_sparse_kernels_on_fixed_shapes():
-    one = la.mat([[3]])
-    assert la.mat_mul(one, one) == la.mat([[9]])
+    one = mat([[3]])
+    assert la.mat_mul(one, one) == mat([[9]])
     assert la.kron(one, la.zeros(1)) == la.zeros(1)
     # an n x 0 factor: no inner terms, and no columns from an empty b
     empty = ((), ())
@@ -450,18 +455,18 @@ def test_sparse_kernels_on_fixed_shapes():
 
 
 def test_kron_mixed_product():
-    a = la.mat([[1, 2], [0, 1]])
-    b = la.mat([[0, 1], [1, 0]])
-    c = la.mat([[2, 0], [1, 1]])
-    d = la.mat([[1, 1], [0, 2]])
+    a = mat([[1, 2], [0, 1]])
+    b = mat([[0, 1], [1, 0]])
+    c = mat([[2, 0], [1, 1]])
+    d = mat([[1, 1], [0, 2]])
     lhs = la.mat_mul(la.kron(a, b), la.kron(c, d))
     rhs = la.kron(la.mat_mul(a, c), la.mat_mul(b, d))
     assert lhs == rhs
 
 
 def test_commutator_and_trace():
-    a = la.mat([[0, 1], [0, 0]])
-    b = la.mat([[0, 0], [1, 0]])
+    a = mat([[0, 1], [0, 0]])
+    b = mat([[0, 0], [1, 0]])
     h = la.commutator(a, b)
-    assert h == la.mat([[1, 0], [0, -1]])
+    assert h == mat([[1, 0], [0, -1]])
     assert la.trace(h) == 0

@@ -27,6 +27,7 @@ GL_IMAGE = ex.gl_image
 MAT_MUL = la.mat_mul
 LOWER_TWO = sp.lower_two
 PUT_CENTRAL = pa._put_central
+E_STAR_FREE = pa._e_star_free
 PSI_MAP = pa.psi_map
 ANTIPODE = ev.Enveloping.antipode_basis
 
@@ -43,6 +44,15 @@ def _merge_flipped(ka, kb):
 
 def _negated(image):
     return [tuple((k, -c) for k, c in terms) for terms in image]
+
+
+def _e_star_free_unit_leg(spec, v):
+    """The c-free action with the unit in the second leg, not e^(J)."""
+    zero = ev.unit_index(spec.data.dim)
+    out = {}
+    for (F, _J, w), c in E_STAR_FREE(spec, v).items():
+        la.vec_put(out, (F, zero, w), c)
+    return out
 
 
 def _mat_mul_dropping_one(a, b):
@@ -70,8 +80,10 @@ SABOTAGES = {
     # c/2 -> c/3 in the central term of the generator action
     "central_term_third": [(pa, "_put_central", lambda out, dim, v, scl:
                             PUT_CENTRAL(out, dim, v, scl * Fraction(2, 3)))],
-    "psi_map_doubled": [(pa, "psi_map", lambda spec, u_vec:
-                         la.vec_scale(PSI_MAP(spec, u_vec), 2))],
+    "psi_map_doubled": [(pa, "psi_map", lambda spec, u:
+                         la.vec_scale(PSI_MAP(spec, u), 2))],
+    # e * (e^(J) (x) u) extended with 1 in the second leg, not e^(J)
+    "e_star_free_unit_leg": [(pa, "_e_star_free", _e_star_free_unit_leg)],
     # S(e^(I)) = -(-1)^{|I|} reversed product / I!
     "antipode_sign_flipped": [(ev.Enveloping, "antipode_basis",
                                lambda env, I: la.vec_scale(ANTIPODE(env, I),

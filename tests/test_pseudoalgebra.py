@@ -140,6 +140,7 @@ def _dense_psi(spec, mats, u_vec):
 def test_sparse_carrier_matches_dense_formula(sl2, heis1, heis2):
     # the layout r = p*dim_u + u is exercised by the two-dimensional
     # nilpotent2 twist, which sl2 (a perfect algebra) does not have
+    rng = random.Random(27)
     seen = set()
     for name, data in (("sl2", sl2), ("heis1", heis1), ("heis2", heis2)):
         us = ["trivial"] + [str(n) for n in range(1, data.N + 1)] + ["sym2"]
@@ -159,16 +160,25 @@ def test_sparse_carrier_matches_dense_formula(sl2, heis1, heis2):
                         name, twist_name, u, r)
                     unit_u = tuple(ONE if i == r else ZERO
                                    for i in range(spec.dim_r))
-                    assert pa.psi_map(spec, unit_u) == \
+                    assert pa.psi_map(spec, {r: ONE}) == \
                         _dense_psi(spec, mats, unit_u)
+                # psi of a sparse u of up to four entries, a zero
+                # coefficient allowed among them
+                sparse = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                          for r in rng.sample(range(spec.dim_r),
+                                              min(4, spec.dim_r))}
+                dense = tuple(sparse.get(r, ZERO) for r in range(spec.dim_r))
+                assert pa.psi_map(spec, sparse) == \
+                    _dense_psi(spec, mats, dense), (name, twist_name, u)
                 seen.add((name, u, twist_name))
     assert len(seen) == 3 * 2 + 3 * 3 + 4 * 3
 
 
 def _e_star_generator_reference(spec, r):
-    """e * (1 (x) u_r) without the central term, with its quadratic part
-    built by its own i, j loop over straightened e_i e_j rather than read
-    from `psi_map`."""
+    """e * (1 (x) u_r) without the central term, keyed (F, (J, rr)) for
+    the terms (e^(F) (x) 1) (x)_H (e^(J) (x) u_rr), with its quadratic
+    part built by its own i, j loop over straightened e_i e_j rather than
+    read from `psi_map`."""
     data, env = spec.data, spec.env
     dim = data.dim
     car = spec.carrier()
@@ -177,25 +187,25 @@ def _e_star_generator_reference(spec, r):
     epsk = [ev.eps(dim, k) for k in range(dim)]
     raw = {}
 
-    def put(F, G, J, col, scl=ONE):
+    def put(F, J, col, scl=ONE):
         for rr, x in col:
-            la.vec_put(raw, (F, G, (J, rr)), scl * x)
+            la.vec_put(raw, (F, (J, rr)), scl * x)
 
-    put(zero_i, zero_i, zero_i, car.first[r])
-    put(zero_i, zero_i, epsk[0], unit_u, -ONE)
+    put(zero_i, zero_i, car.first[r])
+    put(zero_i, epsk[0], unit_u, -ONE)
     for k in range(1, dim):
-        put(epsk[k], zero_i, zero_i, car.dual[k][r], -ONE)
+        put(epsk[k], zero_i, car.dual[k][r], -ONE)
         dual = data.dual_vector(k)
         for m in range(1, dim):
             if dual[m]:
-                put(epsk[k], zero_i, epsk[m], unit_u, dual[m])
+                put(epsk[k], epsk[m], unit_u, dual[m])
     for i in range(1, dim):
         for j in range(1, dim):
             cols = car.f.get((i, j))
             if cols is None or not cols[r]:
                 continue
             for F, cf in env.mono_mul(epsk[i], epsk[j]).items():
-                put(F, zero_i, zero_i, cols[r], cf)
+                put(F, zero_i, cols[r], cf)
     return raw
 
 
